@@ -369,6 +369,8 @@ def _cmd_verify(args) -> int:
     mu = eff["mu"]
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    if not (0.0 < eff["tol"] < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {eff['tol']}")
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     failures = 0
     for name, passed, detail in _verify_checks(p, mu, eff["tol"], eff["t-max"], eff["step"]):

@@ -20,6 +20,8 @@ from .semigroup import as_rates
 
 # Fixed-step accuracy guard: the step must resolve the fastest rate.
 MAX_STEP_RATE_PRODUCT = 0.01
+# Step cap: a 4x4 trajectory of this length holds about 256 MB of states.
+MAX_STEPS = 1_000_000
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _COARSE_POINTS = 1000
@@ -41,6 +43,12 @@ class IntegratorConfig:
             raise ValueError(f"step and t_max must be > 0, got {self.step}, {self.t_max}")
         if self.step > self.t_max:
             raise ValueError(f"step {self.step} exceeds horizon {self.t_max}")
+        # round(t_max / step) > MAX_STEPS, without rounding an overflowed ratio.
+        if self.t_max / self.step > MAX_STEPS + 0.5:
+            raise ValueError(
+                f"t_max/step must not exceed {MAX_STEPS} RK4 steps, "
+                f"got t_max={self.t_max}, step={self.step}"
+            )
 
 
 class Trajectory(NamedTuple):
@@ -94,20 +102,31 @@ def _dissipative_rhs(rates, s1, s2, s3) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
+    # Row j of rhs(basis) is vec(rhs(E_j)) (row-major vec); the C-ordered
+    # transpose keeps 2x2 round-off bit-identical to rhs on matrices.  The
+    # stages stay separate: one collapsed step matrix shifts the round-off.
+    dim = rho0.size
+    basis = np.eye(dim, dtype=complex).reshape((dim,) + rho0.shape)
+    gen = np.ascontiguousarray(rhs(basis).reshape(dim, dim).T)
     n = int(round(cfg.t_max / cfg.step))
     h = cfg.step
-    times = h * np.arange(n + 1)
-    states = np.empty((n + 1,) + rho0.shape, dtype=complex)
-    states[0] = rho0
-    y = rho0
+    states = np.empty((n + 1, dim), dtype=complex)
+    y = states[0] = rho0.reshape(-1)
     for k in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + (0.5 * h) * k1)
-        k3 = rhs(y + (0.5 * h) * k2)
-        k4 = rhs(y + h * k3)
+        k1 = gen @ y
+        k2 = gen @ (y + (0.5 * h) * k1)
+        k3 = gen @ (y + (0.5 * h) * k2)
+        k4 = gen @ (y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k + 1] = y
-    return Trajectory(times, states)
+    return Trajectory(h * np.arange(n + 1), states.reshape((n + 1,) + rho0.shape))
+
+
+def _integrate(p, rho0, cfg: IntegratorConfig, s1, s2, s3) -> Trajectory:
+    rho0 = _check_state(rho0, s1.shape[0])
+    rates = _rates_of(p)
+    _check_accuracy(rates, cfg)
+    return _rk4(_dissipative_rhs(rates, s1, s2, s3), rho0, cfg)
 
 
 def integrate_master_2x2(p, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -119,11 +138,7 @@ def integrate_master_2x2(p, rho0, cfg: IntegratorConfig) -> Trajectory:
     ``p`` may be a ModelParams or a raw (a, b, omega) triple (the latter
     admits b = 0, e.g. for the purely unitary limit).
     """
-    rho0 = _check_state(rho0, 2)
-    rates = _rates_of(p)
-    _check_accuracy(rates, cfg)
-    rhs = _dissipative_rhs(rates, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3)
-    return _rk4(rhs, rho0, cfg)
+    return _integrate(p, rho0, cfg, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3)
 
 
 def integrate_master_4x4(p, rho0, cfg: IntegratorConfig) -> Trajectory:
@@ -132,16 +147,8 @@ def integrate_master_4x4(p, rho0, cfg: IntegratorConfig) -> Trajectory:
     Identical generator with each Pauli replaced by sigma_i (x) identity, so
     the second qubit rides along untouched.
     """
-    rho0 = _check_state(rho0, 4)
-    rates = _rates_of(p)
-    _check_accuracy(rates, cfg)
-    rhs = _dissipative_rhs(
-        rates,
-        np.kron(qmat.PAULI_1, qmat.IDENTITY_2),
-        np.kron(qmat.PAULI_2, qmat.IDENTITY_2),
-        np.kron(qmat.PAULI_3, qmat.IDENTITY_2),
-    )
-    return _rk4(rhs, rho0, cfg)
+    s1, s2, s3 = (np.kron(s, qmat.IDENTITY_2) for s in (qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3))
+    return _integrate(p, rho0, cfg, s1, s2, s3)
 
 
 def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float, tol: float = 1e-10):

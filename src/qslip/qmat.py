@@ -68,6 +68,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
     rotation that annihilates the pivot, until the off-diagonal Frobenius
     norm drops below ``JACOBI_OFF_TOL`` (at most ``JACOBI_MAX_SWEEPS``
     sweeps; quadratic convergence makes that bound generous at 4x4 scale).
+    Raises ``RuntimeError`` if the norm is still above it after the last sweep.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and the
     matching orthonormal eigenvector columns ``v``, so that
@@ -106,6 +107,13 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
                 vec_q = v[:, q].copy()
                 v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
                 v[:, q] = s * phase * vec_p + c * vec_q
+    else:
+        residual = _offdiag_norm(a)
+        if residual > JACOBI_OFF_TOL:
+            raise RuntimeError(
+                f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps: "
+                f"off-diagonal norm {residual:.3e} exceeds {JACOBI_OFF_TOL:.1e}"
+            )
     w = np.real(np.diag(a))
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]

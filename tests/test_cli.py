@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from qslip import cli
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -159,6 +161,28 @@ def test_verify_passes_at_reference_points():
 def test_verify_rejects_overdamped_rates():
     proc = run_cli("verify", "--a", "0.1", "--b", "1.5", "--omega", "1")
     assert proc.returncode == 2
+
+
+def test_verify_rejects_nan_tol(capsys):
+    assert cli.main(["verify", "--a", "0.1", "--b", "0.9", "--tol", "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "tol must be finite and > 0" in err
+
+
+def test_verify_rejects_negative_tol(capsys):
+    assert cli.main(["verify", "--a", "0.1", "--b", "0.9", "--tol", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "tol must be finite and > 0" in err
+
+
+def test_verify_caps_rk4_steps(capsys):
+    argv = ["verify", "--a", "0.1", "--b", "0.9", "--t-max", "1e7", "--step", "1e-4"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must not exceed 1000000 RK4 steps" in err
 
 
 def test_evolve_third_component_constant():

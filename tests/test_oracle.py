@@ -19,7 +19,7 @@ from qslip import (
     concurrence_rate_factor,
     rate_factor_max,
 )
-from qslip.oracle import central_difference
+from qslip.oracle import MAX_STEPS, central_difference
 
 
 def bloch_of(states):
@@ -40,6 +40,13 @@ def test_config_validation():
         IntegratorConfig(step=1e-3, t_max=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(step=2.0, t_max=1.0)
+
+
+def test_config_caps_step_count():
+    IntegratorConfig(step=1.0, t_max=float(MAX_STEPS))  # exactly at the cap
+    for step, t_max in ((1e-4, 1e7), (5e-324, 1.0)):  # the second ratio overflows
+        with pytest.raises(ValueError, match=f"must not exceed {MAX_STEPS} RK4 steps"):
+            IntegratorConfig(step=step, t_max=t_max)
 
 
 def test_step_accuracy_guard():
@@ -95,6 +102,47 @@ def test_rk4_order_of_convergence():
 
     ratio = final_error(4e-3) / final_error(2e-3)
     assert 12.0 <= ratio <= 20.0
+
+
+# Longer horizon and larger steps than test_rk4_order_of_convergence: the
+# errors (about 1e-10) sit far above round-off, so the ratio reads 16.02.
+def test_rk4_order_of_convergence_2x2_long_horizon():
+    p = ModelParams(0.1, 0.9)
+    r0 = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
+
+    def max_error(step):
+        traj = integrate_master_2x2(p, r0.to_density_matrix(), IntegratorConfig(step=step, t_max=5.0))
+        return np.abs(bloch_of(traj.states) - bloch_trajectory(p, r0, traj.times)).max()
+
+    ratio = max_error(1e-2) / max_error(5e-3)
+    assert 15.0 <= ratio <= 17.0
+
+
+def test_rk4_order_of_convergence_4x4_long_horizon():
+    p = ModelParams(0.1, 0.9)
+    mu = 0.2
+
+    def max_error(step):
+        traj = integrate_master_4x4(p, isotropic(mu), IntegratorConfig(step=step, t_max=5.0))
+        return max(
+            np.abs(state - evolve_isotropic(p, mu, t)).max()
+            for t, state in zip(traj.times, traj.states)
+        )
+
+    ratio = max_error(1e-2) / max_error(5e-3)
+    assert 15.0 <= ratio <= 17.0
+
+
+def test_4x4_product_state_evolves_first_factor_only():
+    # Checks the vectorization layout: rho (x) sigma must follow rho(t) (x) sigma.
+    p = ModelParams(0.3, 0.8)
+    cfg = IntegratorConfig(step=1e-3, t_max=1.0)
+    rho = BlochVector(0.3, -0.4, 0.2).to_density_matrix()
+    sigma = BlochVector(-0.5, 0.1, 0.6).to_density_matrix()
+    single = integrate_master_2x2(p, rho, cfg).states
+    joint = integrate_master_4x4(p, np.kron(rho, sigma), cfg).states
+    expected = np.einsum("kij,lm->kiljm", single, sigma).reshape(-1, 4, 4)
+    assert np.abs(joint - expected).max() <= 1e-13
 
 
 def test_4x4_maximally_mixed_is_fixed():

@@ -56,6 +56,14 @@ def test_jacobi_matches_characteristic_polynomial_roots():
         assert np.abs(w - roots).max() <= 1e-9
 
 
+def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
+    m = random_hermitian(np.random.default_rng(5), 4)
+    qmat.hermitian_eig(m)  # converges under the default sweep cap
+    monkeypatch.setattr(qmat, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+        qmat.hermitian_eig(m)
+
+
 def test_non_hermitian_rejected():
     m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
