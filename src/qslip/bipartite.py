@@ -167,11 +167,11 @@ def concurrence_wootters(rho) -> float:
     w, v = qmat.hermitian_eig(rho)
     if w[-1] < qmat.STATE_EIG_FLOOR:
         raise ValueError(f"input has negative eigenvalue {w[-1]:.3e}: not a state")
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ qmat.dagger(v)
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ qmat.dagger(v)
     rho_tilde = _SYSY @ np.conj(rho) @ _SYSY
     product = sqrt_rho @ rho_tilde @ sqrt_rho
     product = 0.5 * (product + qmat.dagger(product))
-    lams = np.sqrt(np.clip(qmat.hermitian_eigenvalues(product), 0.0, None))
+    lams = np.sqrt(np.maximum(qmat.hermitian_eigenvalues(product), 0.0))
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 

@@ -32,7 +32,7 @@ from .bipartite import (
     partial_transpose_spectrum_check,
     window_functions,
 )
-from .oracle import IntegratorConfig, integrate_master_2x2, maximize_scalar
+from .oracle import MAX_STEPS, IntegratorConfig, integrate_master_2x2, maximize_scalar
 from .semigroup import (
     BlochVector,
     ModelParams,
@@ -76,10 +76,12 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
     for name, fallback in defaults.items():
-        cast = int if name in _INT_KEYS else float
         value = getattr(args, name.replace("-", "_"))
         if value is None and name in config:
-            value = cast(config[name])
+            value, cast = config[name], int if name in _INT_KEYS else float
+            if type(value) not in (int, cast) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"config value {name}={value!r} is not a finite {cast.__name__}")
+            value = cast(value)
         if value is None:
             value = fallback
         if value is _REQUIRED:
@@ -95,7 +97,7 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _report_payload(report) -> dict:
@@ -160,10 +162,10 @@ def _cmd_derive_params(args) -> int:
 
 
 def _check_grid(steps: int, t_max: float, minimum: int = 1) -> None:
-    if steps < minimum:
-        raise ValueError(f"steps must be >= {minimum}, got {steps}")
-    if not t_max > 0.0:
-        raise ValueError(f"time horizon must be > 0, got {t_max}")
+    if not minimum <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [{minimum}, {MAX_STEPS}], got {steps}")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"time horizon must be finite and > 0, got {t_max}")
 
 
 def _cmd_eigs(args) -> int:
@@ -464,10 +466,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,16 @@ first tensor factor.
 
 The eigensolver and the exponential are written out rather than delegated
 to LAPACK so that the closed-form spectra elsewhere in the package are
-checked against genuinely independent numerics.  General n x n problems,
-sparse storage and extended precision are out of scope; every matrix here
-is tiny and dense with entries of order one.
+checked against genuinely independent numerics.  The Jacobi rotations run
+on Python complex scalars in nested lists: at 4x4 the per-call overhead of
+numpy row and column slices costs far more than the arithmetic.  General
+n x n problems, sparse storage and extended precision are out of scope;
+every matrix here is tiny and dense with entries of order one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,11 +60,6 @@ def ensure_hermitian(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL) -> np.ndar
     return 0.5 * (m + dagger(m))
 
 
-def _offdiag_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.sqrt((np.abs(off) ** 2).sum()))
-
-
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -74,49 +73,51 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
     matching orthonormal eigenvector columns ``v``, so that
     ``m ~= v @ diag(w) @ v^dagger``.
     """
-    a = ensure_hermitian(m, tol)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= JACOBI_OFF_TOL:
+    a = ensure_hermitian(m, tol).tolist()
+    n = len(a)
+    vt = np.eye(n, dtype=complex).tolist()  # rows are the columns of v
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        off = [abs(x) for i, row in enumerate(a) for j, x in enumerate(row) if i != j]
+        residual = math.hypot(*off)
+        if residual <= JACOBI_OFF_TOL:
             break
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise RuntimeError(
+                f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps: "
+                f"off-diagonal norm {residual:.3e} exceeds {JACOBI_OFF_TOL:.1e}"
+            )
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 mag = abs(apq)
                 if mag == 0.0:
                     continue
                 phase = apq / mag
                 # Real rotation angle for the phase-stripped 2x2 block.
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
                 sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
+                s_phase = s * phase
+                s_conj = s * phase.conjugate()
                 # Columns: A <- A U with U[p,p]=U[q,q]=c, U[p,q]=s*phase,
                 # U[q,p]=-s*conj(phase); then rows: A <- U^dagger A.
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
-                v[:, q] = s * phase * vec_p + c * vec_q
-    else:
-        residual = _offdiag_norm(a)
-        if residual > JACOBI_OFF_TOL:
-            raise RuntimeError(
-                f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps: "
-                f"off-diagonal norm {residual:.3e} exceeds {JACOBI_OFF_TOL:.1e}"
-            )
-    w = np.real(np.diag(a))
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s_conj * y
+                    row[q] = s_phase * x + c * y
+                row_p, row_q, vec_p, vec_q = a[p], a[q], vt[p], vt[q]
+                for j in range(n):
+                    x, y = row_p[j], row_q[j]
+                    row_p[j] = c * x - s_phase * y
+                    row_q[j] = s_conj * x + c * y
+                    x, y = vec_p[j], vec_q[j]
+                    vec_p[j] = c * x - s_conj * y
+                    vec_q[j] = s_phase * x + c * y
+    order = sorted(range(n), key=lambda i: -a[i][i].real)  # stable, descending
+    w = np.array([a[i][i].real for i in order])
+    return w, np.array([vt[i] for i in order], dtype=complex).T
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:

@@ -74,9 +74,9 @@ class ModelParams:
 class BlochVector:
     """Real 3-vector r identifying a qubit matrix via rho = (1 + r.sigma)/2.
 
-    Construction does not bound the norm: the dynamics studied here can
-    push vectors outside the unit ball, and representing that is the whole
-    point.  Call ``require_state`` where an actual state is needed.
+    Components must be finite, but the norm is not bounded: the dynamics
+    studied here can push vectors outside the unit ball, and representing
+    that is the whole point.  Call ``require_state`` where a state is needed.
     """
 
     r1: float
@@ -87,6 +87,8 @@ class BlochVector:
         object.__setattr__(self, "r1", float(self.r1))
         object.__setattr__(self, "r2", float(self.r2))
         object.__setattr__(self, "r3", float(self.r3))
+        if not (math.isfinite(self.r1) and math.isfinite(self.r2) and math.isfinite(self.r3)):
+            raise ValueError("Bloch vector components must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r1, self.r2, self.r3])
@@ -231,6 +233,8 @@ def as_rates(params, b: float | None = None, omega: float | None = None):
         raise ValueError("b is required when passing raw floats")
     b = float(b)
     omega = 1.0 if omega is None else float(omega)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(omega)):
+        raise ValueError("model parameters must be finite")
     if a < 0.0:
         raise ValueError(f"damping rate a must be >= 0, got {a}")
     if omega <= abs(b):

@@ -36,7 +36,9 @@ CP_EIG_FLOOR = -1e-10
 # A qubit map as its images of (identity, s1, s2, s3).
 PauliAction = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-_PAULI_BASIS = (IDENTITY_2, PAULI_1, PAULI_2, PAULI_3)
+_PAULI_BASIS = np.stack((IDENTITY_2, PAULI_1, PAULI_2, PAULI_3))
+# Second factors of the maximally entangled projector's Pauli expansion.
+_CHOI_STACK = np.stack((IDENTITY_2, PAULI_1, -PAULI_2, PAULI_3))
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,8 @@ def compose_actions(outer: PauliAction, inner: PauliAction) -> PauliAction:
     Each inner image is decomposed as x0 1 + sum_i x_i sigma_i with
     x_k = tr(sigma_k X)/2, then pushed through the outer action linearly.
     """
-    composed = []
-    for image in inner:
-        coeffs = [np.trace(basis @ image) / 2.0 for basis in _PAULI_BASIS]
-        composed.append(sum(c * o for c, o in zip(coeffs, outer)))
-    return tuple(composed)
+    coeffs = np.einsum("kab,iba->ik", _PAULI_BASIS, np.asarray(inner, dtype=complex)) / 2.0
+    return tuple(np.einsum("ik,kab->iab", coeffs, np.asarray(outer, dtype=complex)))
 
 
 def choi_matrix(action: PauliAction) -> np.ndarray:
@@ -138,15 +137,12 @@ def choi_matrix(action: PauliAction) -> np.ndarray:
     The map acts on the first factor of the maximally entangled projector
     P = (1x1 + s1xs1 - s2xs2 + s3xs3)/4 (basis 00, 01, 10, 11 row-major):
 
-        choi = ( M[1] x 1 + M[s1] x s1 - M[s2] x s2 + M[s3] x s3 ) / 4 .
+        choi = ( M[1] x 1 + M[s1] x s1 - M[s2] x s2 + M[s3] x s3 ) / 4 ,
+
+    assembled as one contraction against the stack (1, s1, -s2, s3).
     """
-    m_id, m1, m2, m3 = (np.asarray(m, dtype=complex) for m in action)
-    return 0.25 * (
-        np.kron(m_id, IDENTITY_2)
-        + np.kron(m1, PAULI_1)
-        - np.kron(m2, PAULI_2)
-        + np.kron(m3, PAULI_3)
-    )
+    images = np.asarray(action, dtype=complex)
+    return 0.25 * np.einsum("kij,kab->iajb", images, _CHOI_STACK).reshape(4, 4)
 
 
 class CPReport(NamedTuple):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 from qslip import cli
 
 
@@ -185,6 +187,46 @@ def test_verify_caps_rk4_steps(capsys):
     assert "must not exceed 1000000 RK4 steps" in err
 
 
+def _rejected(capsys, argv, message):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+def test_classify_rejects_nan_rate(capsys):
+    _rejected(capsys, ["classify", "--a", "nan", "--b", "0.5"], "must be finite")
+
+
+def test_classify_rejects_infinite_rate(capsys):
+    _rejected(capsys, ["classify", "--a", "inf", "--b", "0.5"], "must be finite")
+
+
+def test_evolve_rejects_nan_component(capsys):
+    argv = ["evolve", "--a", "0.1", "--b", "0.9", "--r1", "nan"]
+    _rejected(capsys, argv, "components must be finite")
+
+
+def test_eigs_rejects_infinite_horizon(capsys):
+    argv = ["eigs", "--a", "0.1", "--b", "0.9", "--t-max", "inf"]
+    _rejected(capsys, argv, "time horizon must be finite")
+
+
+def test_grid_steps_capped(capsys):
+    for command in ("eigs", "windows", "evolve"):
+        argv = [command, "--a", "0.3", "--b", "0.8", "--steps", "1000001"]
+        _rejected(capsys, argv, "1000000], got 1000001")
+
+
+def test_json_output_never_holds_nan(capsys):
+    # t = k * t_max / steps overflows, so the rows are not finite; strict
+    # JSON must refuse them rather than print NaN/Infinity.
+    argv = ["eigs", "--a", "0.1", "--b", "0.9", "--t-max", "1e307", "--steps", "100",
+            "--format", "json"]
+    with np.errstate(invalid="ignore"):
+        _rejected(capsys, argv, "not JSON compliant")
+
+
 def test_evolve_third_component_constant():
     proc = run_cli(
         "evolve", "--a", "0.1", "--b", "0.9", "--r1", "0", "--r2", "0", "--r3", "1",
@@ -221,6 +263,25 @@ def test_unknown_config_key_rejected(tmp_path):
     proc = run_cli("classify", "--config", str(config))
     assert proc.returncode == 2
     assert "bogus" in proc.stderr
+
+
+def test_config_rejects_non_numeric_value(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    for value in ([1], None, "0.5", 10**400):
+        config.write_text(json.dumps({"a": value, "b": 0.5}))
+        _rejected(capsys, ["classify", "--config", str(config)], "is not a finite float")
+
+
+def test_config_rejects_bool(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"a": True, "b": 0.5}))
+    _rejected(capsys, ["classify", "--config", str(config)], "a=True is not a finite float")
+
+
+def test_config_rejects_fractional_steps(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"a": 0.1, "b": 0.9, "steps": 2.7}))
+    _rejected(capsys, ["eigs", "--config", str(config)], "steps=2.7 is not a finite int")
 
 
 def test_output_file(tmp_path):

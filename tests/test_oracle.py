@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qslip import (
     concurrence_rate_factor,
     rate_factor_max,
 )
+from qslip import oracle, qmat
 from qslip.oracle import MAX_STEPS, central_difference
 
 
@@ -216,3 +218,12 @@ def test_integrators_accept_random_params():
         traj = integrate_master_2x2(p, r0.to_density_matrix(), IntegratorConfig(step=1e-3, t_max=0.2))
         analytic = bloch_trajectory(p, r0, traj.times)
         assert np.abs(bloch_of(traj.states) - analytic).max() <= 1e-8
+
+
+def test_oracle_layer_never_calls_lapack():
+    # The closed forms are checked against these modules precisely because
+    # they do not share LAPACK with numpy/scipy; keep it that way.
+    for module in (qmat, oracle):
+        source = Path(module.__file__).read_text(encoding="utf-8").lower()
+        assert "linalg" not in source, module.__name__
+        assert "scipy" not in source, module.__name__

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qslip import qmat
+from qslip import ModelParams, choi_matrix, evolve_isotropic, qmat, semigroup_action
 
 
 def random_hermitian(rng, n):
@@ -54,6 +54,25 @@ def test_jacobi_matches_characteristic_polynomial_roots():
         w = qmat.hermitian_eigenvalues(m)
         roots = np.sort(np.roots(char_poly_coeffs(m)).real)[::-1]
         assert np.abs(w - roots).max() <= 1e-9
+
+
+def test_jacobi_matches_library_eigenvalues_and_reconstructs():
+    rng = np.random.default_rng(13)
+    unitary, _ = np.linalg.qr(random_hermitian(rng, 4) + 1j * np.eye(4))
+    cases = [random_hermitian(rng, n) for n in (2, 3, 4) for _ in range(20)]
+    cases += [
+        np.eye(4, dtype=complex),
+        unitary @ np.diag([0.3, 0.3, -0.1, 0.5]) @ unitary.conj().T,  # repeated pair
+    ]
+    for _ in range(20):
+        p = ModelParams(rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.95))
+        t = rng.uniform(0.0, 5.0)
+        cases.append(evolve_isotropic(p, rng.uniform(0.0, 1.0), t))  # X-shaped
+        cases.append(choi_matrix(semigroup_action(p)(t)))
+    for m in cases:
+        w, v = qmat.hermitian_eig(m)
+        assert np.abs(w - np.linalg.eigvalsh(m)[::-1]).max() <= 1e-12
+        assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-12
 
 
 def test_jacobi_raises_when_sweeps_run_out(monkeypatch):

@@ -165,3 +165,31 @@ def test_compose_scales_pauli_images():
     assert np.abs(composed[0] - direct[0]).max() <= 1e-14
     for k in (1, 2, 3):
         assert np.abs(composed[k] - mu * direct[k]).max() <= 1e-14
+
+
+def _uniform_action(rng):
+    return tuple(rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) for _ in range(4))
+
+
+def test_choi_matrix_matches_kron_formula():
+    i2, s1, s2, s3 = qmat.IDENTITY_2, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3
+    rng = np.random.default_rng(47)
+    actions = [_uniform_action(rng) for _ in range(20)]
+    actions += [semigroup_action(ModelParams(0.3, 0.8))(t) for t in (0.0, 0.7, 2.5)]
+    for m in actions:
+        kron = 0.25 * (np.kron(m[0], i2) + np.kron(m[1], s1) - np.kron(m[2], s2) + np.kron(m[3], s3))
+        assert np.abs(choi_matrix(m) - kron).max() <= 1e-15
+
+
+def test_compose_actions_matches_trace_formula():
+    basis = (qmat.IDENTITY_2, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3)
+    rng = np.random.default_rng(53)
+    gamma = semigroup_action(ModelParams(0.1, 0.9))
+    pairs = [(_uniform_action(rng), _uniform_action(rng)) for _ in range(20)]
+    pairs += [(gamma(1.3), slippage_action(SlippageChannel(0.4))), (gamma(0.2), gamma(2.9))]
+    for outer, inner in pairs:
+        composed = compose_actions(outer, inner)
+        for image, result in zip(inner, composed):
+            coeffs = [np.trace(b @ image) / 2.0 for b in basis]
+            expected = sum(c * o for c, o in zip(coeffs, outer))
+            assert np.abs(result - expected).max() <= 1e-15
