@@ -13,6 +13,14 @@ valid state *grows* on certain time windows even though the action is
 purely local; ``detect_windows`` finds those windows and the tightened mu
 bound that excludes them.  Everything here is cross-checked against the
 Jacobi eigensolver, the RK4 integrator and the scalar maximizer.
+
+The time-dependent closed forms take a scalar time or an array of times
+through one kernel (``qslip._timekernel``).  A scalar (``float``, ``int``,
+``np.float64``) runs on Python floats and returns a ``float``; it is
+bit-identical to the matching element of the array path, NaN included.
+The decay factor exp(-2at) comes from ``np.exp`` on both paths, because
+``math.exp`` differs from numpy's vectorized ``exp`` in the last ulp on
+some inputs.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from . import qmat
+from ._timekernel import time_kernel
 from .oracle import maximize_scalar
 from .semigroup import ModelParams
 
@@ -84,14 +93,14 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     return m / 4.0
 
 
-def _spectrum_entries(p: ModelParams, t):
+def _spectrum_entries(p: ModelParams, t, k):
     """Decay-weighted spectral ingredients: exp(-2at)*sqrt(1+(b/Omega)^2 s^2)
-    and exp(-2at)*(b/Omega)*s with s = sin(2 Omega t)."""
+    and exp(-2at)*(b/Omega)*s with s = sin(2 Omega t), for ``t, k = time_kernel(t)``."""
     big_omega = p.Omega
-    decay = np.exp(-2.0 * p.a * np.asarray(t, dtype=float))
-    s = np.sin(2.0 * big_omega * np.asarray(t, dtype=float))
+    decay = k.exp(-2.0 * p.a * t)
+    s = k.sin(2.0 * big_omega * t)
     ratio = p.b / big_omega
-    return decay * np.sqrt(1.0 + ratio * ratio * s * s), decay * ratio * s
+    return decay * k.sqrt(1.0 + ratio * ratio * s * s), decay * ratio * s
 
 
 def eigenvalues_closed_form(p: ModelParams, mu: float, t: float) -> Tuple[float, float, float, float]:
@@ -103,7 +112,7 @@ def eigenvalues_closed_form(p: ModelParams, mu: float, t: float) -> Tuple[float,
     They sum to one identically; e3 and e4 swap roles when sin(2 Omega t)
     changes sign.
     """
-    root, signed = _spectrum_entries(p, t)
+    root, signed = _spectrum_entries(p, *time_kernel(t))
     mu = float(mu)
     e1 = 0.25 * (1.0 + mu * (1.0 + 2.0 * root))
     e2 = 0.25 * (1.0 + mu * (1.0 - 2.0 * root))
@@ -114,9 +123,9 @@ def eigenvalues_closed_form(p: ModelParams, mu: float, t: float) -> Tuple[float,
 
 def r4_curve(p: ModelParams, t):
     """Positivity radius R4(t) = 1 + 2 exp(-2at) (b/Omega) sin(2 Omega t)."""
-    _, signed = _spectrum_entries(p, t)
-    value = 1.0 + 2.0 * signed
-    return value if np.ndim(value) else float(value)
+    t, k = time_kernel(t)
+    _, signed = _spectrum_entries(p, t, k)
+    return k.out(1.0 + 2.0 * signed)
 
 
 def r4_max(p: ModelParams):
@@ -137,9 +146,9 @@ def r1_curve(p: ModelParams, t):
 
     Pointwise >= R4(t); the top eigenvalue is e1 = (1 + mu R1(t))/4.
     """
-    root, _ = _spectrum_entries(p, t)
-    value = 1.0 + 2.0 * root
-    return value if np.ndim(value) else float(value)
+    t, k = time_kernel(t)
+    root, _ = _spectrum_entries(p, t, k)
+    return k.out(1.0 + 2.0 * root)
 
 
 def positivity_bound(p: ModelParams) -> float:
@@ -160,8 +169,6 @@ def concurrence_wootters(rho) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    if qmat.hermiticity_defect(rho) > qmat.HERMITIAN_INPUT_TOL:
-        raise ValueError("input is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {np.trace(rho)}")
     w, v = qmat.hermitian_eig(rho)
@@ -177,7 +184,7 @@ def concurrence_wootters(rho) -> float:
 
 def _concurrence_gap(p: ModelParams, mu: float, t):
     """Signed concurrence mu exp(-2at) sqrt(1 + (b/Omega)^2 sin^2) - (1-mu)/2."""
-    root, _ = _spectrum_entries(p, t)
+    root, _ = _spectrum_entries(p, *time_kernel(t))
     return mu * root - (1.0 - mu) / 2.0
 
 
@@ -209,14 +216,14 @@ def concurrence_rate_factor(p: ModelParams, t):
 
     d c_mu / dt has the sign of G(t) for every mu > 0.
     """
-    t = np.asarray(t, dtype=float)
+    t, k = time_kernel(t)
     big_omega = p.Omega
     hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
     phi = math.acos(big_omega / hyp)
-    value = (p.b * p.b * hyp / (big_omega * big_omega)) * np.cos(
+    value = (p.b * p.b * hyp / (big_omega * big_omega)) * k.cos(
         2.0 * big_omega * t + phi
-    ) * np.sin(2.0 * big_omega * t) - p.a
-    return value if value.ndim else float(value)
+    ) * k.sin(2.0 * big_omega * t) - p.a
+    return k.out(value)
 
 
 def rate_factor_max(p: ModelParams):
@@ -249,20 +256,17 @@ def window_functions(p: ModelParams, t_offset):
     * ``headroom = R1(t_bar + t) - 3``: nonnegative values push the
       corrected mu bound to or below the separability threshold 1/3.
     """
-    t_offset = np.asarray(t_offset, dtype=float)
+    t_offset, k = time_kernel(t_offset)
     big_omega = p.Omega
     hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
     _, t_bar = rate_factor_max(p)
-    s = np.sin(2.0 * big_omega * (t_bar + t_offset))
+    t = t_bar + t_offset
+    s = k.sin(2.0 * big_omega * t)
     ratio = p.b / big_omega
-    f = np.exp(-2.0 * p.a * t_offset) * np.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
+    f = k.exp(-2.0 * p.a * t_offset) * k.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
         -2.0 * p.a * t_bar
     ) * p.b / hyp
-    g = concurrence_rate_factor(p, t_bar + t_offset)
-    headroom = r1_curve(p, t_bar + t_offset) - 3.0
-    if t_offset.ndim:
-        return f, g, headroom
-    return float(f), float(g), float(headroom)
+    return k.out(f), concurrence_rate_factor(p, t), r1_curve(p, t) - 3.0
 
 
 @dataclass(frozen=True)

@@ -161,11 +161,18 @@ def _cmd_derive_params(args) -> int:
     return 0
 
 
-def _check_grid(steps: int, t_max: float, minimum: int = 1) -> None:
+def _check_grid(steps: int, t_max: float, omega: float, minimum: int = 1) -> None:
     if not minimum <= steps <= MAX_STEPS:
         raise ValueError(f"steps must lie in [{minimum}, {MAX_STEPS}], got {steps}")
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"time horizon must be finite and > 0, got {t_max}")
+    # Grid times k * t_max / steps and the phase 2 Omega t (Omega <= omega)
+    # must not overflow, or the rows would hold inf and NaN.
+    if not (steps * t_max < math.inf and 2.0 * omega * t_max < math.inf):
+        raise ValueError(
+            f"time grid overflows: steps * t_max and 2 * omega * t_max must be finite, "
+            f"got steps={steps}, t_max={t_max}, omega={omega}"
+        )
 
 
 def _cmd_eigs(args) -> int:
@@ -176,8 +183,8 @@ def _cmd_eigs(args) -> int:
     mu = eff["mu"]
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    _check_grid(eff["steps"], eff["t-max"])
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
+    _check_grid(eff["steps"], eff["t-max"], p.omega)
     header = ["t", "e1", "e2", "e3", "e4", "concurrence"]
     rows = []
     json_rows = []
@@ -207,7 +214,7 @@ def _cmd_windows(args) -> int:
     horizon = eff["t-max-offset"]
     if horizon is None:
         horizon = math.pi / p.Omega
-    _check_grid(eff["steps"], horizon, minimum=2)
+    _check_grid(eff["steps"], horizon, p.omega, minimum=2)
     report = detect_windows(p, horizon, horizon / eff["steps"])
     offsets = np.linspace(0.0, horizon, eff["steps"] + 1)
     f, g, headroom = window_functions(p, offsets)
@@ -265,8 +272,8 @@ def _cmd_evolve(args) -> int:
             "steps": 1000,
         },
     )
-    _check_grid(eff["steps"], eff["t-max"])
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
+    _check_grid(eff["steps"], eff["t-max"], p.omega)
     r0 = BlochVector(eff["r1"], eff["r2"], eff["r3"])
     times = np.linspace(0.0, eff["t-max"], eff["steps"] + 1)
     traj = bloch_trajectory(p, r0, times)

@@ -20,6 +20,14 @@ not completely positive (a >= b > 0), or not even positive (a < b): in the
 last case Bloch vectors can leave the unit ball, with peak radius given by
 ``norm_bound_max``.  A converter from raw stochastic-field constants to the
 model rates is included.
+
+``propagate``/``bloch_trajectory`` and ``norm_bound_curve`` evaluate time
+through one scalar-or-array kernel (``qslip._timekernel``): a scalar time
+runs on Python floats and is bit-identical to the matching element of the
+array path, NaN included.  The decay factor comes from ``np.exp`` even on
+a scalar, because ``math.exp`` differs from numpy's vectorized ``exp`` in
+the last ulp on some inputs.  ``bloch_propagator``, which builds matrices
+one time at a time, keeps ``math.exp``.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qmat
+from ._timekernel import time_kernel
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,8 @@ class ModelParams:
                 f"omega must exceed b for a real rotation frequency, got omega={self.omega}, b={self.b}"
             )
 
-    @property
+    # Cached: the closed forms read it several times per scalar call.
+    @cached_property
     def Omega(self) -> float:
         """Effective rotation frequency sqrt(omega^2 - b^2)."""
         return math.sqrt(self.omega * self.omega - self.b * self.b)
@@ -220,9 +231,10 @@ def generator_split(p: ModelParams):
 def as_rates(params, b: float | None = None, omega: float | None = None):
     """Coerce a ModelParams or raw floats to a validated (a, b, omega) triple.
 
-    The raw path admits b = 0 (and any |b| < omega), which the ModelParams
+    The raw path admits b = 0 (any 0 <= b < omega), which the ModelParams
     constructor rejects; several consumers need the completely positive
-    branch.
+    branch.  A negative b is rejected as in ModelParams: the sign convention
+    is b >= 0 (``derive_params`` users take ``abs(b_raw)``).
     """
     if isinstance(params, ModelParams):
         if b is not None or omega is not None:
@@ -237,8 +249,10 @@ def as_rates(params, b: float | None = None, omega: float | None = None):
         raise ValueError("model parameters must be finite")
     if a < 0.0:
         raise ValueError(f"damping rate a must be >= 0, got {a}")
-    if omega <= abs(b):
-        raise ValueError(f"omega must exceed |b|, got omega={omega}, b={b}")
+    if b < 0.0:
+        raise ValueError(f"off-diagonal rate b must be >= 0, got {b}")
+    if omega <= b:
+        raise ValueError(f"omega must exceed b, got omega={omega}, b={b}")
     return a, b, omega
 
 
@@ -282,23 +296,23 @@ def propagator_matrix(p: ModelParams, t: float) -> np.ndarray:
 
 
 def _bloch_components(p: ModelParams, r: BlochVector, t):
-    t = np.asarray(t, dtype=float)
+    """Propagated (r1, r2) at t; r3 is constant."""
+    t, k = time_kernel(t)
     big_omega = p.Omega
-    decay = np.exp(-2.0 * p.a * t)
-    c = np.cos(2.0 * big_omega * t)
-    s = np.sin(2.0 * big_omega * t)
+    decay = k.exp(-2.0 * p.a * t)
+    c = k.cos(2.0 * big_omega * t)
+    s = k.sin(2.0 * big_omega * t)
     r1 = decay * (r.r1 * c - r.r2 * (p.omega + p.b) / big_omega * s)
     r2 = decay * (r.r1 * (p.omega - p.b) / big_omega * s + r.r2 * c)
-    r3 = np.full_like(r1, r.r3)
-    return r1, r2, r3
+    return r1, r2
 
 
 def propagate(p: ModelParams, r: BlochVector, t: float) -> BlochVector:
     """Closed-form image of a Bloch vector after time t >= 0."""
     if t < 0.0:
         raise ValueError(f"propagation time must be >= 0, got {t}")
-    r1, r2, r3 = _bloch_components(p, r, t)
-    return BlochVector(float(r1), float(r2), float(r3))
+    r1, r2 = _bloch_components(p, r, t)
+    return BlochVector(r1, r2, r.r3)
 
 
 def bloch_trajectory(p: ModelParams, r: BlochVector, times) -> np.ndarray:
@@ -306,8 +320,8 @@ def bloch_trajectory(p: ModelParams, r: BlochVector, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0.0:
         raise ValueError("trajectory times must be >= 0")
-    r1, r2, r3 = _bloch_components(p, r, times)
-    return np.stack([r1, r2, r3], axis=-1)
+    r1, r2 = _bloch_components(p, r, times)
+    return np.stack([r1, r2, np.full_like(r1, r.r3)], axis=-1)
 
 
 def exit_rate(p: ModelParams, r: BlochVector) -> float:
@@ -328,14 +342,12 @@ def norm_bound_curve(p: ModelParams, t):
         R^2(t) = exp(-4at) ( (b/Omega)|sin(2 t Omega)|
                              + sqrt(1 + (b/Omega)^2 sin^2(2 t Omega)) )^2 .
     """
-    t = np.asarray(t, dtype=float)
+    t, k = time_kernel(t)
     big_omega = p.Omega
-    s = np.sin(2.0 * t * big_omega)
+    s = k.sin(2.0 * t * big_omega)
     ratio = p.b / big_omega
-    value = np.exp(-4.0 * p.a * t) * (
-        ratio * np.abs(s) + np.sqrt(1.0 + ratio * ratio * s * s)
-    ) ** 2
-    return value if value.ndim else float(value)
+    peak = ratio * abs(s) + k.sqrt(1.0 + ratio * ratio * s * s)
+    return k.out(k.exp(-4.0 * p.a * t) * (peak * peak))
 
 
 def norm_bound_max(p: ModelParams):

@@ -224,7 +224,24 @@ def test_json_output_never_holds_nan(capsys):
     argv = ["eigs", "--a", "0.1", "--b", "0.9", "--t-max", "1e307", "--steps", "100",
             "--format", "json"]
     with np.errstate(invalid="ignore"):
-        _rejected(capsys, argv, "not JSON compliant")
+        _rejected(capsys, argv, "time grid overflows")
+
+
+def test_csv_grid_overflow_rejected(capsys):
+    argv = ["eigs", "--a", "0.1", "--b", "0.9", "--t-max", "1e307", "--steps", "100"]
+    _rejected(capsys, argv, "time grid overflows")
+
+
+def test_phase_overflow_rejected(capsys):
+    # steps * t_max is finite, the phase 2 * omega * t_max is not.
+    for command, horizon in (("eigs", "--t-max"), ("windows", "--t-max-offset"),
+                             ("evolve", "--t-max")):
+        argv = [command, "--a", "0.1", "--b", "0.9", "--omega", "4", "--steps", "2", horizon, "5e307"]
+        _rejected(capsys, argv, "time grid overflows")
+
+
+def test_classify_rejects_negative_b(capsys):
+    _rejected(capsys, ["classify", "--a", "0.1", "--b", "-0.5"], "b must be >= 0, got -0.5")
 
 
 def test_evolve_third_component_constant():
