@@ -14,13 +14,11 @@ purely local; ``detect_windows`` finds those windows and the tightened mu
 bound that excludes them.  Everything here is cross-checked against the
 Jacobi eigensolver, the RK4 integrator and the scalar maximizer.
 
-The time-dependent closed forms take a scalar time or an array of times
-through one kernel (``qslip._timekernel``).  A scalar (``float``, ``int``,
-``np.float64``) runs on Python floats and returns a ``float``; it is
-bit-identical to the matching element of the array path, NaN included.
-The decay factor exp(-2at) comes from ``np.exp`` on both paths, because
-``math.exp`` differs from numpy's vectorized ``exp`` in the last ulp on
-some inputs.
+The time-dependent closed forms, and the corners of ``evolve_isotropic``,
+take time through one kernel (``qslip._timekernel``): a scalar time runs on
+Python floats and returns a ``float`` bit-identical to the matching element
+of the array path, NaN included (the decay factor exp(-2at) still comes
+from ``np.exp``; that module says why).
 """
 
 from __future__ import annotations
@@ -65,31 +63,26 @@ def isotropic(mu: float) -> np.ndarray:
     return m / 4.0
 
 
-def _corner_entries(p: ModelParams, mu: float, t):
-    """Off-diagonal entries 2*mu*B_t (outer corner) and 2*mu*C_t (inner)."""
-    big_omega = p.Omega
-    decay = np.exp(-2.0 * p.a * t)
-    c = np.cos(2.0 * big_omega * t)
-    s = np.sin(2.0 * big_omega * t)
-    outer = decay * (c - 1j * (p.omega / big_omega) * s)
-    inner = 1j * (p.b / big_omega) * decay * s
-    return 2.0 * mu * outer, 2.0 * mu * inner
-
-
 def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     """Explicit matrix of the isotropic state after local evolution for t >= 0.
 
-    Diagonal (1+mu, 1-mu, 1-mu, 1+mu)/4 with complex corners from the
-    analytically propagated Pauli images; at t = 0 this is ``isotropic(mu)``.
+    Diagonal (1+mu, 1-mu, 1-mu, 1+mu)/4 with complex corners 2*mu*B_t
+    (outer) and 2*mu*C_t (inner) from the analytically propagated Pauli
+    images; at t = 0 this is ``isotropic(mu)``.
     """
     if t < 0.0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
-    outer, inner = _corner_entries(p, float(mu), float(t))
-    m = np.diag([1.0 + mu, 1.0 - mu, 1.0 - mu, 1.0 + mu]).astype(complex)
-    m[0, 3] = outer
-    m[3, 0] = np.conj(outer)
-    m[1, 2] = inner
-    m[2, 1] = np.conj(inner)
+    mu = float(mu)
+    t, k = time_kernel(float(t))
+    big_omega = p.Omega
+    decay = k.exp(-2.0 * p.a * t)
+    s = k.sin(2.0 * big_omega * t)
+    outer = 2.0 * mu * (decay * (k.cos(2.0 * big_omega * t) - 1j * (p.omega / big_omega) * s))
+    inner = 2.0 * mu * (1j * (p.b / big_omega) * decay * s)
+    plus, minus = 1.0 + mu, 1.0 - mu
+    m = np.array([[plus, 0.0, 0.0, outer], [0.0, minus, inner, 0.0],
+                  [0.0, inner.conjugate(), minus, 0.0], [outer.conjugate(), 0.0, 0.0, plus]],
+                 dtype=complex)
     return m / 4.0
 
 
@@ -169,15 +162,15 @@ def concurrence_wootters(rho) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
+    if abs(sum(rho.diagonal().tolist()) - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {np.trace(rho)}")
     w, v = qmat.hermitian_eig(rho)
     if w[-1] < qmat.STATE_EIG_FLOOR:
         raise ValueError(f"input has negative eigenvalue {w[-1]:.3e}: not a state")
     sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ qmat.dagger(v)
     rho_tilde = _SYSY @ np.conj(rho) @ _SYSY
+    # hermitian_eigenvalues symmetrizes the round-off of the product itself.
     product = sqrt_rho @ rho_tilde @ sqrt_rho
-    product = 0.5 * (product + qmat.dagger(product))
     lams = np.sqrt(np.maximum(qmat.hermitian_eigenvalues(product), 0.0))
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
@@ -245,6 +238,21 @@ def can_create_entanglement(p: ModelParams) -> bool:
     return p.a * p.a < p.b ** 4 / (4.0 * p.omega * p.omega)
 
 
+def _window_terms(p: ModelParams, t_offset):
+    """``(f, g, t)`` of ``window_functions`` with t = t_bar + t_offset."""
+    t_offset, k = time_kernel(t_offset)
+    big_omega = p.Omega
+    hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
+    _, t_bar = rate_factor_max(p)
+    t = t_bar + t_offset
+    s = k.sin(2.0 * big_omega * t)
+    ratio = p.b / big_omega
+    f = k.exp(-2.0 * p.a * t_offset) * k.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
+        -2.0 * p.a * t_bar
+    ) * p.b / hyp
+    return k.out(f), concurrence_rate_factor(p, t), t
+
+
 def window_functions(p: ModelParams, t_offset):
     """The three window diagnostics at offset t from the reference time t_bar.
 
@@ -256,17 +264,8 @@ def window_functions(p: ModelParams, t_offset):
     * ``headroom = R1(t_bar + t) - 3``: nonnegative values push the
       corrected mu bound to or below the separability threshold 1/3.
     """
-    t_offset, k = time_kernel(t_offset)
-    big_omega = p.Omega
-    hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
-    _, t_bar = rate_factor_max(p)
-    t = t_bar + t_offset
-    s = k.sin(2.0 * big_omega * t)
-    ratio = p.b / big_omega
-    f = k.exp(-2.0 * p.a * t_offset) * k.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
-        -2.0 * p.a * t_bar
-    ) * p.b / hyp
-    return k.out(f), concurrence_rate_factor(p, t), r1_curve(p, t) - 3.0
+    f, g, t = _window_terms(p, t_offset)
+    return f, g, r1_curve(p, t) - 3.0
 
 
 @dataclass(frozen=True)
@@ -320,11 +319,11 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None,
         raise ValueError(f"degenerate window grid: step {grid_step} over horizon {t_max_offset}")
 
     grid = np.linspace(0.0, t_max_offset, n + 1)
-    f, g, _ = window_functions(p, grid)
+    f, g, _ = _window_terms(p, grid)
     inside = (f > 0.0) & (g > 0.0)
 
     def overlap(t: float) -> float:
-        fv, gv, _ = window_functions(p, t)
+        fv, gv, _ = _window_terms(p, t)
         return min(fv, gv)
 
     intervals = []

@@ -81,7 +81,7 @@ def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} initial matrix, got shape {rho.shape}")
-    if qmat.hermiticity_defect(rho) > qmat.HERMITIAN_INPUT_TOL:
+    if not qmat.hermiticity_defect(rho) <= qmat.HERMITIAN_INPUT_TOL:
         raise ValueError("initial matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
         raise ValueError(f"initial matrix must have unit trace, got {np.trace(rho)}")

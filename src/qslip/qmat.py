@@ -7,11 +7,14 @@ first tensor factor.
 
 The eigensolver and the exponential are written out rather than delegated
 to LAPACK so that the closed-form spectra elsewhere in the package are
-checked against genuinely independent numerics.  The Jacobi rotations run
-on Python complex scalars in nested lists: at 4x4 the per-call overhead of
-numpy row and column slices costs far more than the arithmetic.  General
-n x n problems, sparse storage and extended precision are out of scope;
-every matrix here is tiny and dense with entries of order one.
+checked against genuinely independent numerics.  The Hermiticity check,
+the symmetrization and the Jacobi rotations run on Python complex scalars
+in nested lists: at 4x4 the per-call overhead of numpy row and column
+slices costs far more than the arithmetic.  ``hermitian_eigenvalues``
+skips the eigenvector accumulation that ``hermitian_eig`` does, and a
+non-finite input entry raises ``ValueError``.  General n x n problems,
+sparse storage and extended precision are out of scope; every matrix here
+is tiny and dense with entries of order one.
 """
 
 from __future__ import annotations
@@ -39,46 +42,47 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M^dagger|, the absolute deviation from Hermiticity."""
+    """max |M - M^dagger|, the absolute deviation from Hermiticity; NaN for
+    a non-finite entry (inf - inf), so ``not defect <= tol`` rejects it."""
     m = np.asarray(m, dtype=complex)
-    return float(np.abs(m - dagger(m)).max())
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(m - dagger(m)).max())
 
 
-def _require_square(m: np.ndarray) -> np.ndarray:
+def _hermitian_rows(m: np.ndarray, tol: float) -> list:
+    """Rows of (M + M^dagger)/2 as Python complex scalars, after checking that
+    each entry's defect |x - conj(y)| (y the transposed entry) is within
+    ``tol``; a non-finite entry gives a NaN or inf defect, which fails too."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
+    rows = m.tolist()
+    sym = []
+    for row, col in zip(rows, zip(*rows)):
+        out = []
+        for x, y in zip(row, col):
+            y = y.conjugate()
+            if not abs(x - y) <= tol:
+                defect = hermiticity_defect(m)  # the largest, for the message
+                raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
+            out.append(0.5 * (x + y))
+        sym.append(out)
+    return sym
 
 
-def ensure_hermitian(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the symmetrized matrix."""
-    m = _require_square(m)
-    defect = float(np.abs(m - dagger(m)).max())
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
-    return 0.5 * (m + dagger(m))
+def _jacobi(a: list, vt: list | None):
+    """Cyclic Jacobi on the Hermitian rows ``a`` in place, rotating the rows
+    of ``vt`` (the eigenvector columns) too unless it is None.
 
-
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps over all (p, q) pairs, each time applying the complex plane
-    rotation that annihilates the pivot, until the off-diagonal Frobenius
-    norm drops below ``JACOBI_OFF_TOL`` (at most ``JACOBI_MAX_SWEEPS``
-    sweeps; quadratic convergence makes that bound generous at 4x4 scale).
-    Raises ``RuntimeError`` if the norm is still above it after the last sweep.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` sorted descending and the
-    matching orthonormal eigenvector columns ``v``, so that
-    ``m ~= v @ diag(w) @ v^dagger``.
-    """
-    a = ensure_hermitian(m, tol).tolist()
+    Each (p, q) rotation annihilates the pivot.  Sweeps stop once the
+    off-diagonal Frobenius norm is within ``JACOBI_OFF_TOL`` (quadratic
+    convergence makes ``JACOBI_MAX_SWEEPS`` generous at 4x4 scale) and raise
+    ``RuntimeError`` when that budget runs out.  Returns the eigenvalues,
+    sorted descending, and their positions on the diagonal."""
     n = len(a)
-    vt = np.eye(n, dtype=complex).tolist()  # rows are the columns of v
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off = [abs(x) for i, row in enumerate(a) for j, x in enumerate(row) if i != j]
-        residual = math.hypot(*off)
+        residual = math.hypot(*[abs(a[i][j]) for i, j in off_diagonal])
         if residual <= JACOBI_OFF_TOL:
             break
         if sweep == JACOBI_MAX_SWEEPS:
@@ -107,23 +111,34 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
                     x, y = row[p], row[q]
                     row[p] = c * x - s_conj * y
                     row[q] = s_phase * x + c * y
-                row_p, row_q, vec_p, vec_q = a[p], a[q], vt[p], vt[q]
+                row_p, row_q = a[p], a[q]
                 for j in range(n):
                     x, y = row_p[j], row_q[j]
                     row_p[j] = c * x - s_phase * y
                     row_q[j] = s_conj * x + c * y
-                    x, y = vec_p[j], vec_q[j]
-                    vec_p[j] = c * x - s_conj * y
-                    vec_q[j] = s_phase * x + c * y
+                if vt is not None:
+                    vec_p, vec_q = vt[p], vt[q]
+                    for j in range(n):
+                        x, y = vec_p[j], vec_q[j]
+                        vec_p[j] = c * x - s_conj * y
+                        vec_q[j] = s_phase * x + c * y
     order = sorted(range(n), key=lambda i: -a[i][i].real)  # stable, descending
-    w = np.array([a[i][i].real for i in order])
+    return np.array([a[i][i].real for i in order]), order
+
+
+def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
+    """Eigenvalues ``w`` (descending) and orthonormal eigenvector columns ``v``
+    of a Hermitian matrix (defect within ``tol``, else ``ValueError``) by
+    cyclic Jacobi, so that ``m ~= v @ diag(w) @ v^dagger``."""
+    a = _hermitian_rows(m, tol)
+    vt = np.eye(len(a), dtype=complex).tolist()
+    w, order = _jacobi(a, vt)
     return w, np.array([vt[i] for i in order], dtype=complex).T
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending."""
-    w, _ = hermitian_eig(m, tol)
-    return w
+    """Eigenvalues of a Hermitian matrix, sorted descending; skips the eigenvectors."""
+    return _jacobi(_hermitian_rows(m, tol), None)[0]
 
 
 def expm_real3(m: np.ndarray, t: float = 1.0) -> np.ndarray:

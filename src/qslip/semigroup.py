@@ -22,12 +22,9 @@ last case Bloch vectors can leave the unit ball, with peak radius given by
 model rates is included.
 
 ``propagate``/``bloch_trajectory`` and ``norm_bound_curve`` evaluate time
-through one scalar-or-array kernel (``qslip._timekernel``): a scalar time
-runs on Python floats and is bit-identical to the matching element of the
-array path, NaN included.  The decay factor comes from ``np.exp`` even on
-a scalar, because ``math.exp`` differs from numpy's vectorized ``exp`` in
-the last ulp on some inputs.  ``bloch_propagator``, which builds matrices
-one time at a time, keeps ``math.exp``.
+through one scalar-or-array kernel (``qslip._timekernel``, which says how
+its scalar path stays bit-identical to the array path);
+``bloch_propagator``, which builds one matrix at a time, keeps ``math.exp``.
 """
 
 from __future__ import annotations
@@ -73,6 +70,8 @@ class ModelParams:
             raise ValueError(
                 f"omega must exceed b for a real rotation frequency, got omega={self.omega}, b={self.b}"
             )
+        if not 0.0 < self.Omega < math.inf:  # omega * omega over- or underflows
+            raise ValueError(f"omega={self.omega}, b={self.b} give Omega={self.Omega}, not finite and > 0")
 
     # Cached: the closed forms read it several times per scalar call.
     @cached_property

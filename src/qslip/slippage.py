@@ -73,7 +73,7 @@ def kraus_apply(channel: SlippageChannel, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
-    if qmat.hermiticity_defect(rho) > qmat.HERMITIAN_INPUT_TOL:
+    if not qmat.hermiticity_defect(rho) <= qmat.HERMITIAN_INPUT_TOL:
         raise ValueError("input is not Hermitian")
     trace = np.trace(rho)
     if abs(trace - 1.0) > 1e-10:
@@ -92,12 +92,7 @@ def identity_action() -> PauliAction:
 
 def slippage_action(channel: SlippageChannel) -> PauliAction:
     """Pauli-basis action of the slippage channel: 1 -> 1, sigma_i -> mu sigma_i."""
-    return (
-        IDENTITY_2.copy(),
-        channel.mu * PAULI_1,
-        channel.mu * PAULI_2,
-        channel.mu * PAULI_3,
-    )
+    return (IDENTITY_2.copy(), *(channel.mu * _PAULI_BASIS[1:]))
 
 
 def semigroup_action(params, b: float | None = None, omega: float | None = None) -> Callable[[float], PauliAction]:
@@ -111,12 +106,7 @@ def semigroup_action(params, b: float | None = None, omega: float | None = None)
 
     def action(t: float) -> PauliAction:
         g = bloch_propagator(a, b_val, omega_val, t)
-        images = [IDENTITY_2.copy()]
-        for i in range(3):
-            images.append(
-                g[0, i] * PAULI_1 + g[1, i] * PAULI_2 + g[2, i] * PAULI_3
-            )
-        return tuple(images)
+        return (IDENTITY_2.copy(), *np.einsum("ji,jab->iab", g, _PAULI_BASIS[1:]))
 
     return action
 
@@ -166,12 +156,9 @@ def is_completely_positive(
         raise ValueError("time grid must not be empty")
     if t_grid.min() < 0.0:
         raise ValueError("time grid values must be >= 0")
-    worst_t = float(t_grid[0])
-    worst_eig = math.inf
-    for t in t_grid:
-        eigs = qmat.hermitian_eigenvalues(choi_matrix(family(float(t))))
-        low = float(eigs[-1])
+    worst_t, worst_eig = float(t_grid[0]), math.inf
+    for t in t_grid.tolist():
+        low = float(qmat.hermitian_eigenvalues(choi_matrix(family(t)))[-1])
         if low < worst_eig:
-            worst_eig = low
-            worst_t = float(t)
+            worst_t, worst_eig = t, low
     return CPReport(worst_eig >= CP_EIG_FLOOR, worst_t, worst_eig)

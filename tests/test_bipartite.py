@@ -28,7 +28,7 @@ from qslip import (
     symmetric_projector,
     window_functions,
 )
-from qslip import qmat
+from qslip import bipartite, qmat
 
 # Closed-form spectrum at (a=0.1, b=0.9, omega=1, mu=0.2, t=0.5), frozen
 # from an independent evaluation of the eigenvalue formulas.
@@ -395,6 +395,23 @@ def test_detect_windows_positive_regime_is_empty():
     report = detect_windows(ModelParams(0.5, 0.3))
     assert report.intervals == ()
     assert report.mu_upper_corrected == report.mu_upper_physical
+
+
+def test_detect_windows_skips_headroom_scan(monkeypatch):
+    # The grid scan and the bisection need only f and g; R1 enters only the
+    # peak search inside detected windows.
+    calls = []
+    r1_curve = bipartite.r1_curve
+
+    def counted(p, t):
+        calls.append(t)
+        return r1_curve(p, t)
+
+    monkeypatch.setattr(bipartite, "r1_curve", counted)
+    detect_windows(ModelParams(0.5, 0.3))
+    assert calls == []
+    report = detect_windows(ModelParams(0.1, 0.9))
+    assert report.intervals and calls and all(np.ndim(t) == 0 for t in calls)
 
 
 def test_detect_windows_bound_ordering_and_refinement():

@@ -244,6 +244,16 @@ def test_classify_rejects_negative_b(capsys):
     _rejected(capsys, ["classify", "--a", "0.1", "--b", "-0.5"], "b must be >= 0, got -0.5")
 
 
+def test_omega_overflow_rejected(capsys):
+    # omega * omega overflows (or underflows), so Omega = sqrt(omega^2 - b^2)
+    # would be inf (or 0).
+    for command in (["eigs", "--steps", "2"], ["bounds"]):
+        argv = [*command, "--a", "0.1", "--b", "0.9", "--omega", "1e200"]
+        _rejected(capsys, argv, "omega=1e+200, b=0.9 give Omega=inf")
+        argv = [*command, "--a", "0.1", "--b", "5e-201", "--omega", "1e-200"]
+        _rejected(capsys, argv, "give Omega=0.0, not finite and > 0")
+
+
 def test_evolve_third_component_constant():
     proc = run_cli(
         "evolve", "--a", "0.1", "--b", "0.9", "--r1", "0", "--r2", "0", "--r3", "1",

@@ -67,6 +67,16 @@ def test_initial_state_validation():
         integrate_master_2x2(p, np.eye(2), cfg)  # trace 2
 
 
+def test_non_finite_initial_state_rejected():
+    # An all-NaN matrix has a NaN Hermiticity defect and a NaN trace; it
+    # used to pass both checks and integrate to a NaN trajectory.
+    p = ModelParams(0.1, 0.9)
+    cfg = IntegratorConfig(step=1e-3, t_max=0.1)
+    for integrate, dim in ((integrate_master_2x2, 2), (integrate_master_4x4, 4)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            integrate(p, np.full((dim, dim), np.nan), cfg)
+
+
 def test_unitary_limit_conserves_norm():
     # a = b = 0: pure precession, passed as a raw triple.
     rho0 = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0).to_density_matrix()

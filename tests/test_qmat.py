@@ -89,6 +89,21 @@ def test_non_hermitian_rejected():
         qmat.hermitian_eigenvalues(m)
 
 
+def test_infinite_entry_rejected():
+    # inf - inf gives a NaN Hermiticity defect, which must not pass the check.
+    m = np.diag([np.inf, 1.0, 1.0, 1.0])
+    for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
+        with pytest.raises(ValueError, match="not Hermitian: defect nan"):
+            solve(m)
+
+
+def test_nan_matrix_rejected():
+    m = np.full((4, 4), np.nan)
+    for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
+        with pytest.raises(ValueError, match="not Hermitian: defect nan"):
+            solve(m)
+
+
 def test_expm_zero_and_t0():
     assert np.abs(qmat.expm_real3(np.zeros((3, 3)), 2.7) - np.eye(3)).max() == 0.0
     m = np.arange(9.0).reshape(3, 3)

@@ -44,6 +44,15 @@ def test_model_params_validation():
     assert abs(p.Omega ** 2 + p.b ** 2 - p.omega ** 2) <= 1e-12
 
 
+def test_model_params_reject_overflowing_omega():
+    # omega * omega overflows (Omega = inf) or underflows (Omega = 0).
+    with pytest.raises(ValueError, match="omega=1e\\+200, b=0.9 give Omega=inf"):
+        ModelParams(0.1, 0.9, 1e200)
+    with pytest.raises(ValueError, match="give Omega=0.0, not finite and > 0"):
+        ModelParams(0.1, 5e-201, 1e-200)
+    assert 0.0 < ModelParams(0.1, 0.9, 1e154).Omega < np.inf
+
+
 def test_bloch_vector_state_check():
     BlochVector(0.6, 0.0, 0.8).require_state()
     with pytest.raises(ValueError):
