@@ -96,6 +96,15 @@ def _spectrum_entries(p: ModelParams, t, k):
     return decay * k.sqrt(1.0 + ratio * ratio * s * s), decay * ratio * s
 
 
+def _spectrum(p: ModelParams, mu: float, t):
+    """``(root, (e1, e2, e3, e4))`` of the evolved isotropic matrix; scalar or array t."""
+    root, signed = _spectrum_entries(p, *time_kernel(t))
+    return root, (0.25 * (1.0 + mu * (1.0 + 2.0 * root)),
+                  0.25 * (1.0 + mu * (1.0 - 2.0 * root)),
+                  0.25 * (1.0 - mu * (1.0 - 2.0 * signed)),
+                  0.25 * (1.0 - mu * (1.0 + 2.0 * signed)))
+
+
 def eigenvalues_closed_form(p: ModelParams, mu: float, t: float) -> Tuple[float, float, float, float]:
     """Closed-form eigenvalues (e1, e2, e3, e4) of the evolved isotropic matrix.
 
@@ -105,12 +114,7 @@ def eigenvalues_closed_form(p: ModelParams, mu: float, t: float) -> Tuple[float,
     They sum to one identically; e3 and e4 swap roles when sin(2 Omega t)
     changes sign.
     """
-    root, signed = _spectrum_entries(p, *time_kernel(t))
-    mu = float(mu)
-    e1 = 0.25 * (1.0 + mu * (1.0 + 2.0 * root))
-    e2 = 0.25 * (1.0 + mu * (1.0 - 2.0 * root))
-    e3 = 0.25 * (1.0 - mu * (1.0 - 2.0 * signed))
-    e4 = 0.25 * (1.0 - mu * (1.0 + 2.0 * signed))
+    _, (e1, e2, e3, e4) = _spectrum(p, float(mu), t)
     return float(e1), float(e2), float(e3), float(e4)
 
 
@@ -122,16 +126,12 @@ def r4_curve(p: ModelParams, t):
 
 
 def r4_max(p: ModelParams):
-    """Peak of R4(t) and the time t* where it is reached:
+    """Peak of R4(t) and the time t* where it is reached (``p.R4``, ``p.t_star``):
 
         R4 = 1 + 2 exp(-2 a t*) b / sqrt(Omega^2 + a^2),
         t* = (1 / 2 Omega) arcsin(Omega / sqrt(Omega^2 + a^2)).
     """
-    big_omega = p.Omega
-    hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
-    # The ratio equals 1 exactly at a = 0; clamp away rounding overshoot.
-    t_star = math.asin(min(1.0, big_omega / hyp)) / (2.0 * big_omega)
-    return 1.0 + 2.0 * math.exp(-2.0 * p.a * t_star) * p.b / hyp, t_star
+    return p.R4, p.t_star
 
 
 def r1_curve(p: ModelParams, t):
@@ -146,8 +146,7 @@ def r1_curve(p: ModelParams, t):
 
 def positivity_bound(p: ModelParams) -> float:
     """Largest mu keeping the evolved isotropic family a state forever: 1/R4."""
-    peak, _ = r4_max(p)
-    return 1.0 / peak
+    return 1.0 / p.R4
 
 
 def concurrence_wootters(rho) -> float:
@@ -175,12 +174,6 @@ def concurrence_wootters(rho) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-def _concurrence_gap(p: ModelParams, mu: float, t):
-    """Signed concurrence mu exp(-2at) sqrt(1 + (b/Omega)^2 sin^2) - (1-mu)/2."""
-    root, _ = _spectrum_entries(p, *time_kernel(t))
-    return mu * root - (1.0 - mu) / 2.0
-
-
 def concurrence_closed_form(p: ModelParams, mu: float, t: float) -> float:
     """Closed-form concurrence max(0, c_mu(t)) of the evolved isotropic state.
 
@@ -197,7 +190,26 @@ def concurrence_closed_form(p: ModelParams, mu: float, t: float) -> float:
             f"mu={mu} is outside the physical range [0, {bound:.12g}]: "
             "the closed form presumes a valid state at all times"
         )
-    return float(max(0.0, _concurrence_gap(p, mu, t)))
+    root, _ = _spectrum_entries(p, *time_kernel(t))
+    return float(max(0.0, mu * root - (1.0 - mu) / 2.0))
+
+
+def concurrence_curve(p: ModelParams, mu: float, t):
+    """Closed-form concurrence of the evolved isotropic matrix at any mu in [0, 1].
+
+    ``max(0, c_mu(t))`` with c_mu(t) = mu exp(-2at) sqrt(1 + (b/Omega)^2
+    sin^2(2 Omega t)) - (1 - mu)/2 where the matrix is a state, and NaN
+    where its smallest closed-form eigenvalue is below
+    ``ISOTROPIC_EIG_FLOOR`` (possible only for mu > 1/R4).  Takes a scalar
+    or an array t.
+    """
+    mu = float(mu)
+    if not (0.0 <= mu <= 1.0):
+        raise ValueError(f"isotropic parameter mu must lie in [0, 1], got {mu}")
+    root, eigs = _spectrum(p, mu, t)
+    gap = mu * root - (1.0 - mu) / 2.0
+    curve = np.where(np.min(eigs, axis=0) < ISOTROPIC_EIG_FLOOR, np.nan, np.maximum(0.0, gap))
+    return curve if curve.ndim else float(curve)
 
 
 def concurrence_rate_factor(p: ModelParams, t):
@@ -211,10 +223,8 @@ def concurrence_rate_factor(p: ModelParams, t):
     """
     t, k = time_kernel(t)
     big_omega = p.Omega
-    hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
-    phi = math.acos(big_omega / hyp)
-    value = (p.b * p.b * hyp / (big_omega * big_omega)) * k.cos(
-        2.0 * big_omega * t + phi
+    value = (p.b * p.b * p.hyp / (big_omega * big_omega)) * k.cos(
+        2.0 * big_omega * t + p.phi
     ) * k.sin(2.0 * big_omega * t) - p.a
     return k.out(value)
 
@@ -225,9 +235,7 @@ def rate_factor_max(p: ModelParams):
         max G = (b^2 / 2 Omega^2) (sqrt(Omega^2 + a^2) - a) - a.
     """
     big_omega = p.Omega
-    hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
-    _, t_star = r4_max(p)
-    return (p.b * p.b / (2.0 * big_omega * big_omega)) * (hyp - p.a) - p.a, t_star / 2.0
+    return (p.b * p.b / (2.0 * big_omega * big_omega)) * (p.hyp - p.a) - p.a, p.t_bar
 
 
 def can_create_entanglement(p: ModelParams) -> bool:
@@ -242,14 +250,13 @@ def _window_terms(p: ModelParams, t_offset):
     """``(f, g, t)`` of ``window_functions`` with t = t_bar + t_offset."""
     t_offset, k = time_kernel(t_offset)
     big_omega = p.Omega
-    hyp = math.sqrt(big_omega * big_omega + p.a * p.a)
-    _, t_bar = rate_factor_max(p)
+    t_bar = p.t_bar
     t = t_bar + t_offset
     s = k.sin(2.0 * big_omega * t)
     ratio = p.b / big_omega
     f = k.exp(-2.0 * p.a * t_offset) * k.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
         -2.0 * p.a * t_bar
-    ) * p.b / hyp
+    ) * p.b / p.hyp
     return k.out(f), concurrence_rate_factor(p, t), t
 
 
@@ -341,7 +348,7 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None,
         i = j + 1
 
     mu_physical = positivity_bound(p)
-    _, t_bar = rate_factor_max(p)
+    t_bar = p.t_bar
     if intervals:
         peak_r1 = 0.0
         for left, right in intervals:

@@ -1,10 +1,11 @@
 """Independent numerical cross-checks for the closed forms.
 
 Fixed-step RK4 integration of the qubit master equation (and of its
-one-sided two-qubit amplification), a deterministic coarse-grid plus
-golden-section scalar maximizer, and a central finite difference.  None of
-these reuse the analytic propagator machinery, which is what makes them
-usable as oracles against it.
+one-sided two-qubit amplification) and a deterministic coarse-grid plus
+golden-section scalar maximizer.  Neither reuses the analytic propagator
+machinery: the integrators read only the rates ``a``, ``b`` and ``omega``
+of a ``ModelParams``, never a cached closed-form constant, which is what
+makes them usable as oracles against it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import qmat
-from .semigroup import as_rates
+from .semigroup import ModelParams
 
 # Fixed-step accuracy guard: the step must resolve the fastest rate.
 MAX_STEP_RATE_PRODUCT = 0.01
@@ -58,18 +59,8 @@ class Trajectory(NamedTuple):
     states: np.ndarray
 
 
-def _rates_of(params):
-    """(a, b, omega) from a ModelParams or an (a, b, omega) triple."""
-    try:
-        a, b, omega = params
-    except TypeError:
-        return as_rates(params)
-    return as_rates(float(a), float(b), float(omega))
-
-
-def _check_accuracy(rates, cfg: IntegratorConfig):
-    a, b, omega = rates
-    fastest = max(a, abs(b), abs(omega))
+def _check_accuracy(p: ModelParams, cfg: IntegratorConfig):
+    fastest = max(p.a, p.b, p.omega)
     if cfg.step * fastest > MAX_STEP_RATE_PRODUCT:
         raise ValueError(
             f"step {cfg.step} too coarse for rates up to {fastest}: "
@@ -88,8 +79,8 @@ def _check_state(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
-def _dissipative_rhs(rates, s1, s2, s3) -> Callable[[np.ndarray], np.ndarray]:
-    a, b, w = rates
+def _dissipative_rhs(p: ModelParams, s1, s2, s3) -> Callable[[np.ndarray], np.ndarray]:
+    a, b, w = p.a, p.b, p.omega
 
     def rhs(rho):
         return (
@@ -122,26 +113,22 @@ def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(h * np.arange(n + 1), states.reshape((n + 1,) + rho0.shape))
 
 
-def _integrate(p, rho0, cfg: IntegratorConfig, s1, s2, s3) -> Trajectory:
+def _integrate(p: ModelParams, rho0, cfg: IntegratorConfig, s1, s2, s3) -> Trajectory:
     rho0 = _check_state(rho0, s1.shape[0])
-    rates = _rates_of(p)
-    _check_accuracy(rates, cfg)
-    return _rk4(_dissipative_rhs(rates, s1, s2, s3), rho0, cfg)
+    _check_accuracy(p, cfg)
+    return _rk4(_dissipative_rhs(p, s1, s2, s3), rho0, cfg)
 
 
-def integrate_master_2x2(p, rho0, cfg: IntegratorConfig) -> Trajectory:
+def integrate_master_2x2(p: ModelParams, rho0, cfg: IntegratorConfig) -> Trajectory:
     """RK4 integration of the single-qubit master equation
 
         d rho/dt = -i omega [s3, rho] + a (s3 rho s3 - rho)
                    - b (s1 rho s2 + s2 rho s1).
-
-    ``p`` may be a ModelParams or a raw (a, b, omega) triple (the latter
-    admits b = 0, e.g. for the purely unitary limit).
     """
     return _integrate(p, rho0, cfg, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3)
 
 
-def integrate_master_4x4(p, rho0, cfg: IntegratorConfig) -> Trajectory:
+def integrate_master_4x4(p: ModelParams, rho0, cfg: IntegratorConfig) -> Trajectory:
     """RK4 integration of the amplified equation (bath on the first qubit only).
 
     Identical generator with each Pauli replaced by sigma_i (x) identity, so
@@ -176,10 +163,3 @@ def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float, tol:
             lo = c
     t_best = 0.5 * (lo + hi)
     return t_best, fn(t_best)
-
-
-def central_difference(fn: Callable[[float], float], t: float, h: float = 1e-6) -> float:
-    """Symmetric finite difference (fn(t+h) - fn(t-h)) / 2h."""
-    if h <= 0.0:
-        raise ValueError(f"finite-difference step must be > 0, got {h}")
-    return (fn(t + h) - fn(t - h)) / (2.0 * h)

@@ -1,20 +1,19 @@
-"""Dense linear-algebra kernel for 2x2/4x4 complex and 3x3 real matrices.
+"""Dense linear-algebra kernel for the small complex matrices of the package.
 
-Everything the rest of the package leans on lives here: a cyclic-Jacobi
-Hermitian eigensolver, a scaling-and-squaring matrix exponential for real
-3x3 generators, Kronecker products, and the partial transpose over the
-first tensor factor.
+Everything the rest of the package leans on lives here: the Pauli
+matrices, a cyclic-Jacobi Hermitian eigensolver, and the partial transpose
+over the first tensor factor.
 
-The eigensolver and the exponential are written out rather than delegated
-to LAPACK so that the closed-form spectra elsewhere in the package are
-checked against genuinely independent numerics.  The Hermiticity check,
-the symmetrization and the Jacobi rotations run on Python complex scalars
-in nested lists: at 4x4 the per-call overhead of numpy row and column
-slices costs far more than the arithmetic.  ``hermitian_eigenvalues``
-skips the eigenvector accumulation that ``hermitian_eig`` does, and a
-non-finite input entry raises ``ValueError``.  General n x n problems,
-sparse storage and extended precision are out of scope; every matrix here
-is tiny and dense with entries of order one.
+The eigensolver is written out rather than delegated to LAPACK so that the
+closed-form spectra elsewhere in the package are checked against genuinely
+independent numerics.  The Hermiticity check, the symmetrization and the
+Jacobi rotations run on Python complex scalars in nested lists: at 4x4 the
+per-call overhead of numpy row and column slices costs far more than the
+arithmetic.  ``hermitian_eigenvalues`` skips the eigenvector accumulation
+that ``hermitian_eig`` does, and a non-finite input entry raises
+``ValueError``.  General n x n problems, sparse storage and extended
+precision are out of scope; every matrix here is tiny and dense with
+entries of order one.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 HERMITIAN_INPUT_TOL = 1e-10   # accepted Hermiticity defect of eigensolver inputs
 JACOBI_OFF_TOL = 1e-14        # off-diagonal Frobenius norm at convergence
 JACOBI_MAX_SWEEPS = 100
-EXPM_TERM_TOL = 1e-18         # Taylor-term cutoff inside the matrix exponential
 STATE_EIG_FLOOR = -1e-10      # spectrum floor below which a matrix is not a state
 
 PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -139,45 +137,6 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
 def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending; skips the eigenvectors."""
     return _jacobi(_hermitian_rows(m, tol), None)[0]
-
-
-def expm_real3(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t*m) for a real 3x3 matrix, by scaling and squaring.
-
-    The scaled matrix is exponentiated with a plain Taylor series truncated
-    once the next term falls below ``EXPM_TERM_TOL``; the caller applies any
-    physical prefactor (e.g. a -2t rate convention) to the argument.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a real 3x3 matrix, got shape {m.shape}")
-    if not (np.isfinite(m).all() and np.isfinite(t)):
-        raise ValueError("matrix exponential requires finite entries")
-    x = t * m
-    norm = float(np.abs(x).sum(axis=1).max())
-    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    x = x / (2.0 ** squarings)
-    result = np.eye(3)
-    term = np.eye(3)
-    k = 1
-    while True:
-        term = term @ x / k
-        result = result + term
-        if float(np.abs(term).max()) < EXPM_TERM_TOL or k > 60:
-            break
-        k += 1
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (standard block layout)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"tensor expects two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
 
 
 def partial_transpose_first(m: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ model rates is included.
 ``propagate``/``bloch_trajectory`` and ``norm_bound_curve`` evaluate time
 through one scalar-or-array kernel (``qslip._timekernel``, which says how
 its scalar path stays bit-identical to the array path);
-``bloch_propagator``, which builds one matrix at a time, keeps ``math.exp``.
+``bloch_propagator``, which builds one matrix at a time from a
+``ModelParams``, keeps ``math.exp``.
 """
 
 from __future__ import annotations
@@ -45,11 +46,17 @@ from ._timekernel import time_kernel
 class ModelParams:
     """Rates ``(a, b, omega)`` of the dephasing generator.
 
-    Requires ``a >= 0``, ``b > 0`` and ``omega > b`` so the rotation
-    frequency ``Omega = sqrt(omega^2 - b^2)`` is real and positive; the
-    overdamped branch ``omega <= b`` is rejected rather than analytically
-    continued.  The degenerate ``b = 0`` maps are handled by ``classify``,
-    which accepts raw floats.
+    The one way rates enter the package.  Requires ``a >= 0``, ``b >= 0``
+    and ``omega > b`` so the rotation frequency ``Omega = sqrt(omega^2 -
+    b^2)`` is real and positive; the overdamped branch ``omega <= b`` is
+    rejected rather than analytically continued.  ``b = 0`` is admitted: it
+    is the completely positive branch.
+
+    The derived constants are cached properties, computed once per instance:
+    ``Omega``; ``hyp = sqrt(Omega^2 + a^2)``; the phase ``phi`` of the rate
+    factor G, with ``cos(phi) = Omega / hyp``; the time ``t_star`` and value
+    ``R4`` of the positivity radius peak; and ``t_bar = t_star / 2``, where
+    G peaks.
     """
 
     a: float
@@ -64,8 +71,8 @@ class ModelParams:
             raise ValueError("model parameters must be finite")
         if self.a < 0.0:
             raise ValueError(f"damping rate a must be >= 0, got {self.a}")
-        if self.b <= 0.0:
-            raise ValueError(f"off-diagonal rate b must be > 0, got {self.b}")
+        if self.b < 0.0:
+            raise ValueError(f"off-diagonal rate b must be >= 0, got {self.b}")
         if self.omega <= self.b:
             raise ValueError(
                 f"omega must exceed b for a real rotation frequency, got omega={self.omega}, b={self.b}"
@@ -73,11 +80,37 @@ class ModelParams:
         if not 0.0 < self.Omega < math.inf:  # omega * omega over- or underflows
             raise ValueError(f"omega={self.omega}, b={self.b} give Omega={self.Omega}, not finite and > 0")
 
-    # Cached: the closed forms read it several times per scalar call.
+    # Cached: the closed forms read these several times per scalar call.
     @cached_property
     def Omega(self) -> float:
         """Effective rotation frequency sqrt(omega^2 - b^2)."""
         return math.sqrt(self.omega * self.omega - self.b * self.b)
+
+    @cached_property
+    def hyp(self) -> float:
+        """sqrt(Omega^2 + a^2)."""
+        return math.sqrt(self.Omega * self.Omega + self.a * self.a)
+
+    @cached_property
+    def phi(self) -> float:
+        """Phase of the rate factor G: cos(phi) = Omega / hyp, phi in [0, pi/2)."""
+        return math.acos(self.Omega / self.hyp)
+
+    @cached_property
+    def t_star(self) -> float:
+        """Time (1 / 2 Omega) arcsin(Omega / hyp) of the positivity radius peak."""
+        # The ratio equals 1 exactly at a = 0; clamp away rounding overshoot.
+        return math.asin(min(1.0, self.Omega / self.hyp)) / (2.0 * self.Omega)
+
+    @cached_property
+    def R4(self) -> float:
+        """Peak positivity radius 1 + 2 exp(-2 a t_star) b / hyp (1 at b = 0)."""
+        return 1.0 + 2.0 * math.exp(-2.0 * self.a * self.t_star) * self.b / self.hyp
+
+    @cached_property
+    def t_bar(self) -> float:
+        """Time t_star / 2 where the rate factor G peaks."""
+        return self.t_star / 2.0
 
 
 @dataclass(frozen=True)
@@ -114,11 +147,6 @@ class BlochVector:
         if self.norm() > 1.0 + tol:
             raise ValueError(f"Bloch vector of norm {self.norm():.12g} is not a state")
         return self
-
-    @classmethod
-    def from_array(cls, arr) -> "BlochVector":
-        r1, r2, r3 = np.asarray(arr, dtype=float)
-        return cls(r1, r2, r3)
 
     @classmethod
     def from_density_matrix(cls, rho) -> "BlochVector":
@@ -197,7 +225,7 @@ def derive_params(s: StochasticFieldParams) -> DerivedRates:
 
     ``b_raw`` is negative under ``g1 > g2``; callers building ModelParams
     use ``abs(b_raw)`` since the dynamics depend on b only through b^2 and
-    b*sin products with the b > 0 convention.
+    b*sin products with the b >= 0 convention.
     """
     den = s.lam * s.lam + 4.0 * s.omega_tilde * s.omega_tilde
     return DerivedRates(
@@ -227,71 +255,33 @@ def generator_split(p: ModelParams):
     return h, d
 
 
-def as_rates(params, b: float | None = None, omega: float | None = None):
-    """Coerce a ModelParams or raw floats to a validated (a, b, omega) triple.
-
-    The raw path admits b = 0 (any 0 <= b < omega), which the ModelParams
-    constructor rejects; several consumers need the completely positive
-    branch.  A negative b is rejected as in ModelParams: the sign convention
-    is b >= 0 (``derive_params`` users take ``abs(b_raw)``).
-    """
-    if isinstance(params, ModelParams):
-        if b is not None or omega is not None:
-            raise ValueError("pass either a ModelParams or raw floats, not both")
-        return params.a, params.b, params.omega
-    a = float(params)
-    if b is None:
-        raise ValueError("b is required when passing raw floats")
-    b = float(b)
-    omega = 1.0 if omega is None else float(omega)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(omega)):
-        raise ValueError("model parameters must be finite")
-    if a < 0.0:
-        raise ValueError(f"damping rate a must be >= 0, got {a}")
-    if b < 0.0:
-        raise ValueError(f"off-diagonal rate b must be >= 0, got {b}")
-    if omega <= b:
-        raise ValueError(f"omega must exceed b, got omega={omega}, b={b}")
-    return a, b, omega
-
-
-def classify(params, b: float | None = None, omega: float | None = None) -> Classification:
+def classify(p, b: float | None = None, omega: float = 1.0) -> Classification:
     """Positivity class from (a, b): CP iff b = 0, positive iff a^2 >= b^2.
 
-    Accepts either a ModelParams or raw floats (the raw path admits b = 0).
+    ``classify(a, b, omega)`` on raw floats is ``classify(ModelParams(a, b, omega))``.
     """
-    a, b_val, _ = as_rates(params, b, omega)
-    if b_val == 0.0:
+    if not isinstance(p, ModelParams):
+        p = ModelParams(p, b, omega)
+    if p.b == 0.0:
         return Classification.COMPLETELY_POSITIVE
-    if a * a >= b_val * b_val:
+    if p.a * p.a >= p.b * p.b:
         return Classification.POSITIVE_NOT_CP
     return Classification.NON_POSITIVE
 
 
-def bloch_propagator(a: float, b: float, omega: float, t: float) -> np.ndarray:
-    """Analytic 3x3 Bloch propagator exp(-2 t L) for raw rates.
-
-    Accepts b = 0 (the ratios (omega +- b)/Omega stay finite there), which
-    the ModelParams constructor excludes.
-    """
-    if omega <= abs(b):
-        raise ValueError(f"omega must exceed |b|, got omega={omega}, b={b}")
-    big_omega = math.sqrt(omega * omega - b * b)
-    decay = math.exp(-2.0 * a * t)
+def bloch_propagator(p: ModelParams, t: float) -> np.ndarray:
+    """Analytic 3x3 Bloch propagator exp(-2 t L) of the model at time t."""
+    big_omega = p.Omega
+    decay = math.exp(-2.0 * p.a * t)
     c = math.cos(2.0 * big_omega * t)
     s = math.sin(2.0 * big_omega * t)
     return np.array(
         [
-            [decay * c, -decay * (omega + b) / big_omega * s, 0.0],
-            [decay * (omega - b) / big_omega * s, decay * c, 0.0],
+            [decay * c, -decay * (p.omega + p.b) / big_omega * s, 0.0],
+            [decay * (p.omega - p.b) / big_omega * s, decay * c, 0.0],
             [0.0, 0.0, 1.0],
         ]
     )
-
-
-def propagator_matrix(p: ModelParams, t: float) -> np.ndarray:
-    """Analytic Bloch propagator of the model at time t."""
-    return bloch_propagator(p.a, p.b, p.omega, t)
 
 
 def _bloch_components(p: ModelParams, r: BlochVector, t):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qmat
 from .qmat import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
-from .semigroup import BlochVector, as_rates, bloch_propagator
+from .semigroup import BlochVector, ModelParams, bloch_propagator
 
 # Choi eigenvalues above this floor count as nonnegative; genuine
 # violations at the parameter scales of interest are O(0.1).
@@ -95,17 +95,18 @@ def slippage_action(channel: SlippageChannel) -> PauliAction:
     return (IDENTITY_2.copy(), *(channel.mu * _PAULI_BASIS[1:]))
 
 
-def semigroup_action(params, b: float | None = None, omega: float | None = None) -> Callable[[float], PauliAction]:
+def semigroup_action(p, b: float | None = None, omega: float = 1.0) -> Callable[[float], PauliAction]:
     """Time-indexed Pauli-basis action of the dephasing semigroup.
 
-    Accepts a ModelParams or raw floats (the raw path admits b = 0, needed
-    to probe the completely positive branch).  The image of sigma_i at time
-    t is sum_j G[j, i] sigma_j with G the analytic Bloch propagator.
+    ``semigroup_action(a, b, omega)`` on raw floats is
+    ``semigroup_action(ModelParams(a, b, omega))``.  The image of sigma_i at
+    time t is sum_j G[j, i] sigma_j with G the analytic Bloch propagator.
     """
-    a, b_val, omega_val = as_rates(params, b, omega)
+    if not isinstance(p, ModelParams):
+        p = ModelParams(p, b, omega)
 
     def action(t: float) -> PauliAction:
-        g = bloch_propagator(a, b_val, omega_val, t)
+        g = bloch_propagator(p, t)
         return (IDENTITY_2.copy(), *np.einsum("ji,jab->iab", g, _PAULI_BASIS[1:]))
 
     return action

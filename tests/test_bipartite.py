@@ -9,6 +9,7 @@ from qslip import (
     ModelParams,
     can_create_entanglement,
     concurrence_closed_form,
+    concurrence_curve,
     concurrence_rate_factor,
     concurrence_wootters,
     detect_windows,
@@ -277,6 +278,25 @@ def test_concurrence_closed_form_validation():
         concurrence_closed_form(p, 0.2, -1.0)
     with pytest.raises(ValueError):
         concurrence_closed_form(p, -0.1, 1.0)
+
+
+def test_concurrence_curve_is_nan_off_the_state_set():
+    p = ModelParams(0.1, 0.9)
+    ts = np.linspace(0.0, 5.0, 201)
+    for mu in (0.2, 0.25, 0.6, 1.0):
+        curve = concurrence_curve(p, mu, ts)
+        for t, value in zip(ts.tolist(), curve.tolist()):
+            assert value == concurrence_curve(p, mu, t) or np.isnan(value)
+            m = evolve_isotropic(p, mu, t)
+            if min(eigenvalues_closed_form(p, mu, t)) < bipartite.ISOTROPIC_EIG_FLOOR:
+                assert np.isnan(value)
+                assert qmat.hermitian_eigenvalues(m)[-1] < 0.0
+            else:
+                assert abs(value - concurrence_wootters(m)) <= 1e-10
+    assert np.isnan(concurrence_curve(p, 1.0, ts)).any()
+    assert not np.isnan(concurrence_curve(p, 0.25, ts)).any()
+    with pytest.raises(ValueError):
+        concurrence_curve(p, 1.1, 1.0)
 
 
 # ----------------------------------------------------------- derivative of c

@@ -160,6 +160,21 @@ def test_verify_passes_at_reference_points():
         assert "FAIL" not in proc.stdout
 
 
+def test_verify_passes_on_the_completely_positive_branch():
+    # At b = 0, R4(t) = 1 and G(t) = -a are flat: only their values compare.
+    for a in ("0.1", "0", "2"):
+        proc = run_cli("verify", "--a", a, "--b", "0", "--t-max", "0.5", "--step", "1e-3")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "all checks passed" in proc.stdout
+
+
+def test_bounds_completely_positive_branch():
+    proc = run_cli("bounds", "--a", "0.1", "--b", "0")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["R"] == payload["R4"] == payload["R4_inv"] == payload["mu_corrected"] == 1.0
+
+
 def test_verify_rejects_overdamped_rates():
     proc = run_cli("verify", "--a", "0.1", "--b", "1.5", "--omega", "1")
     assert proc.returncode == 2
@@ -247,7 +262,7 @@ def test_classify_rejects_negative_b(capsys):
 def test_omega_overflow_rejected(capsys):
     # omega * omega overflows (or underflows), so Omega = sqrt(omega^2 - b^2)
     # would be inf (or 0).
-    for command in (["eigs", "--steps", "2"], ["bounds"]):
+    for command in (["eigs", "--steps", "2"], ["bounds"], ["classify"]):
         argv = [*command, "--a", "0.1", "--b", "0.9", "--omega", "1e200"]
         _rejected(capsys, argv, "omega=1e+200, b=0.9 give Omega=inf")
         argv = [*command, "--a", "0.1", "--b", "5e-201", "--omega", "1e-200"]

@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from qslip import (
     rate_factor_max,
 )
 from qslip import oracle, qmat
-from qslip.oracle import MAX_STEPS, central_difference
+from qslip.oracle import MAX_STEPS
 
 
 def bloch_of(states):
@@ -78,9 +79,9 @@ def test_non_finite_initial_state_rejected():
 
 
 def test_unitary_limit_conserves_norm():
-    # a = b = 0: pure precession, passed as a raw triple.
+    # a = b = 0: pure precession.
     rho0 = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0).to_density_matrix()
-    traj = integrate_master_2x2((0.0, 0.0, 1.0), rho0, IntegratorConfig(step=1e-3, t_max=1.0))
+    traj = integrate_master_2x2(ModelParams(0.0, 0.0, 1.0), rho0, IntegratorConfig(step=1e-3, t_max=1.0))
     norms = np.sqrt((bloch_of(traj.states) ** 2).sum(axis=1))
     assert np.abs(norms - 1.0).max() <= 1e-10
 
@@ -214,12 +215,6 @@ def test_maximizer_is_deterministic():
     assert first == second
 
 
-def test_central_difference():
-    assert abs(central_difference(math.sin, 0.3) - math.cos(0.3)) <= 1e-9
-    with pytest.raises(ValueError):
-        central_difference(math.sin, 0.3, h=0.0)
-
-
 def test_integrators_accept_random_params():
     rng = np.random.default_rng(9)
     for _ in range(3):
@@ -237,3 +232,24 @@ def test_oracle_layer_never_calls_lapack():
         source = Path(module.__file__).read_text(encoding="utf-8").lower()
         assert "linalg" not in source, module.__name__
         assert "scipy" not in source, module.__name__
+
+
+def test_no_module_reaches_into_a_sibling_private_name():
+    # A private name is a module's own business: no sibling may import it
+    # (from .mod import _name) or reach it as an attribute (mod._name).
+    # Public names of the private module _timekernel stay importable.
+    package = Path(qmat.__file__).parent
+    siblings = {path.stem for path in package.glob("*.py")}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings):
+                names = [node.attr]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.startswith("_") and not name.startswith("__")]
+    assert offenders == []

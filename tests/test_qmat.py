@@ -104,74 +104,6 @@ def test_nan_matrix_rejected():
             solve(m)
 
 
-def test_expm_zero_and_t0():
-    assert np.abs(qmat.expm_real3(np.zeros((3, 3)), 2.7) - np.eye(3)).max() == 0.0
-    m = np.arange(9.0).reshape(3, 3)
-    assert np.abs(qmat.expm_real3(m, 0.0) - np.eye(3)).max() == 0.0
-
-
-def test_expm_matches_library_reference():
-    # Desk scale: ||t*m|| of order one, as for every generator in the package.
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        m = rng.uniform(-0.75, 0.75, size=(3, 3))
-        t = rng.uniform(0.0, 2.0)
-        assert np.abs(qmat.expm_real3(m, t) - scipy.linalg.expm(t * m)).max() <= 1e-12
-
-
-def test_expm_semigroup_property():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        m = rng.uniform(-0.5, 0.5, size=(3, 3))
-        t, s = rng.uniform(0.0, 5.0, size=2)
-        lhs = qmat.expm_real3(m, t) @ qmat.expm_real3(m, s)
-        rhs = qmat.expm_real3(m, t + s)
-        assert np.abs(lhs - rhs).max() <= 1e-10
-
-
-def test_expm_rejects_non_finite():
-    m = np.zeros((3, 3))
-    m[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        qmat.expm_real3(m, 1.0)
-
-
-def test_tensor_identity():
-    assert np.abs(qmat.tensor(np.eye(2), np.eye(2)) - np.eye(4)).max() == 0.0
-
-
-def test_tensor_sigma3_sigma3():
-    got = qmat.tensor(qmat.PAULI_3, qmat.PAULI_3)
-    assert np.abs(got - np.diag([1.0, -1.0, -1.0, 1.0])).max() == 0.0
-
-
-def test_tensor_sigma1_sigma2_hand_expansion():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = -1j
-    expected[1, 2] = 1j
-    expected[2, 1] = -1j
-    expected[3, 0] = 1j
-    assert np.abs(qmat.tensor(qmat.PAULI_1, qmat.PAULI_2) - expected).max() == 0.0
-
-
-def test_tensor_bilinear_and_mixed_product():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-        lhs = qmat.tensor(a, b) @ qmat.tensor(c, d)
-        rhs = qmat.tensor(a @ c, b @ d)
-        assert np.abs(lhs - rhs).max() <= 1e-12
-        x, y = rng.normal(size=2)
-        assert np.abs(qmat.tensor(x * a + y * c, b) - (x * qmat.tensor(a, b) + y * qmat.tensor(c, b))).max() <= 1e-12
-
-
-def test_tensor_dimension_mismatch():
-    with pytest.raises(ValueError):
-        qmat.tensor(np.eye(2), np.eye(3)[:2, :])
-    with pytest.raises(ValueError):
-        qmat.tensor(np.eye(4), np.eye(2))
-
-
 def test_partial_transpose_diagonal_fixed_point():
     m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     assert np.abs(qmat.partial_transpose_first(m) - m).max() == 0.0

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIGURE_PARAMS, random_model_params
 from qslip import (
@@ -10,9 +13,11 @@ from qslip import (
     IntegratorConfig,
     ModelParams,
     StochasticFieldParams,
+    bloch_propagator,
     bloch_trajectory,
     classify,
     derive_params,
+    detect_windows,
     exit_rate,
     generator,
     generator_split,
@@ -21,7 +26,8 @@ from qslip import (
     norm_bound_curve,
     norm_bound_max,
     propagate,
-    propagator_matrix,
+    r4_max,
+    semigroup_action,
 )
 from qslip import qmat
 
@@ -34,8 +40,8 @@ R_MINUS = BlochVector(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        ModelParams(0.1, 0.0)
+    with pytest.raises(ValueError, match="off-diagonal rate b must be >= 0, got -0.5"):
+        ModelParams(0.1, -0.5)
     with pytest.raises(ValueError):
         ModelParams(0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -51,6 +57,13 @@ def test_model_params_reject_overflowing_omega():
     with pytest.raises(ValueError, match="give Omega=0.0, not finite and > 0"):
         ModelParams(0.1, 5e-201, 1e-200)
     assert 0.0 < ModelParams(0.1, 0.9, 1e154).Omega < np.inf
+
+
+def test_raw_rate_forms_reject_overflowing_omega():
+    # The raw-float forms build a ModelParams on the call, before any t.
+    for raw_form in (classify, semigroup_action):
+        with pytest.raises(ValueError, match="give Omega=inf"):
+            raw_form(0.1, 0.5, 1e200)
 
 
 def test_bloch_vector_state_check():
@@ -168,8 +181,8 @@ def test_semigroup_law():
 def test_analytic_propagator_equals_matrix_exponential():
     for p in FIGURE_PARAMS:
         for t in (0.0, 0.3, 1.1, 4.0):
-            numeric = qmat.expm_real3(-2.0 * generator(p), t)
-            assert np.abs(numeric - propagator_matrix(p, t)).max() <= 1e-10
+            numeric = scipy.linalg.expm(-2.0 * t * generator(p))
+            assert np.abs(numeric - bloch_propagator(p, t)).max() <= 1e-10
 
 
 def test_propagated_state_has_unit_trace():
@@ -263,7 +276,7 @@ def test_norm_bound_curve_small_b_contracts():
 def test_norm_bound_curve_matches_gram_matrix():
     p = ModelParams(0.1, 0.9)
     for t in (0.2, 0.7, 1.9):
-        g = qmat.expm_real3(-2.0 * generator(p), t)
+        g = scipy.linalg.expm(-2.0 * t * generator(p))
         gram = (g.T @ g).astype(complex)
         w_full = qmat.hermitian_eigenvalues(gram)
         w_block = qmat.hermitian_eigenvalues(gram[:2, :2])
@@ -292,3 +305,24 @@ def test_norm_bound_exceeds_one_in_non_positive_regime():
         a = rng.uniform(0.0, b * 0.999)
         radius, _ = norm_bound_max(ModelParams(a, b))
         assert radius > 1.0
+
+
+# ------------------------------------------------- completely positive branch
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 50.0)),
+       st.floats(1e-3, 1e3))
+def test_b_zero_branch(a, omega):
+    p = ModelParams(a, 0.0, omega)
+    assert classify(p) is Classification.COMPLETELY_POSITIVE
+    assert norm_bound_max(p) == (1.0, 0.0)
+    assert r4_max(p)[0] == 1.0
+    report = detect_windows(p)
+    assert report.intervals == ()
+    assert report.mu_upper_corrected == 1.0
+    # The raw-float forms are the ModelParams forms.
+    assert classify(a, 0.0, omega) is classify(p)
+    for t in (0.0, 0.3, 2.0):
+        raw = semigroup_action(a, 0.0, omega)(t)
+        built = semigroup_action(p)(t)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(raw, built))

@@ -20,6 +20,7 @@ from qslip import (
     ModelParams,
     bloch_trajectory,
     concurrence_closed_form,
+    concurrence_curve,
     concurrence_rate_factor,
     eigenvalues_closed_form,
     norm_bound_curve,
@@ -29,7 +30,6 @@ from qslip import (
     r4_curve,
     window_functions,
 )
-from qslip import bipartite
 
 _B_FRACTIONS = st.one_of(
     st.floats(1e-3, 0.999),
@@ -93,7 +93,7 @@ def test_scalar_calls_match_array_elements(case):
             norm_bound_curve: norm_bound_curve(p, grid),
         }
         windows = window_functions(p, grid)
-        gap = bipartite._concurrence_gap(p, mu, grid)
+        concurrence = concurrence_curve(p, mu, grid)
         trajectory = bloch_trajectory(p, r, grid)
         for i, t in enumerate(times):
             zero_d = np.array(t)
@@ -105,7 +105,7 @@ def test_scalar_calls_match_array_elements(case):
                                                window_functions(p, zero_d), windows):
                     _check(got, values[i])
                     _check(got_0d, values[i])
-                _check(bipartite._concurrence_gap(p, mu, ts), gap[i])
+                _check(concurrence_curve(p, mu, ts), concurrence[i])
                 if np.isfinite(trajectory[i]).all():
                     image = propagate(p, r, ts)
                     for got, reference in zip((image.r1, image.r2, image.r3), trajectory[i]):
