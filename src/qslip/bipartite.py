@@ -10,9 +10,10 @@ concurrence, and two critical radii:
 
 When the rate criterion a^2 < b^4 / (4 omega^2) holds, the concurrence of a
 valid state *grows* on certain time windows even though the action is
-purely local; ``detect_windows`` finds those windows and the tightened mu
-bound that excludes them.  Everything here is cross-checked against the
-Jacobi eigensolver, the RK4 integrator and the scalar maximizer.
+purely local; ``detect_windows`` finds those windows in closed form, with
+the tightened mu bound that excludes them.  Everything here is checked
+against the Jacobi eigensolver, the RK4 integrator, the golden-section
+maximizer (the peak radii) or a dense-grid window scan in the tests.
 
 The time-dependent closed forms, and the corners of ``evolve_isotropic``,
 take time through one kernel (``qslip._timekernel``): a scalar time runs on
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import qmat
 from ._timekernel import time_kernel
-from .oracle import maximize_scalar
 from .semigroup import ModelParams
 
 # Spectrum floor for "is still a state" checks on the evolved family.
@@ -39,8 +39,8 @@ ISOTROPIC_EIG_FLOOR = -1e-12
 # A corrected bound at or below this kills every entangled isotropic state.
 SEPARABLE_MU = 1.0 / 3.0
 
-_WINDOW_GRID_POINTS = 4000
-_WINDOW_REFINE_TOL = 1e-9
+# Cap on the periods pi/(2 Omega) one window scan may span (windows recur at a = 0).
+MAX_WINDOW_PERIODS = 10**6
 
 _SYSY = np.kron(qmat.PAULI_2, qmat.PAULI_2)
 
@@ -292,80 +292,71 @@ class WindowReport:
     kills_all_entanglement: bool
 
 
-def _bisect_boundary(fn, lo: float, hi: float) -> float:
-    """Bisect for the sign change of fn on [lo, hi] down to the refine tol."""
-    f_lo = fn(lo)
-    while hi - lo > _WINDOW_REFINE_TOL:
+def _first_positive(fn, lo: float, hi: float) -> float:
+    """Bisect an increasing fn, fn(lo) <= 0 < fn(hi), down to adjacent floats."""
+    while True:
         mid = 0.5 * (lo + hi)
-        if (fn(mid) > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
+        if not lo < mid < hi:
+            return hi
+        if fn(mid) > 0.0:
             hi = mid
-    return 0.5 * (lo + hi)
+        else:
+            lo = mid
 
 
-def detect_windows(p: ModelParams, t_max_offset: float | None = None,
-                   grid_step: float | None = None) -> WindowReport:
-    """Scan for offsets where f > 0 and g > 0 simultaneously.
+def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowReport:
+    """Offsets t in [0, t_max_offset] (default pi/Omega) where f > 0 and g > 0.
 
-    A uniform grid over [0, t_max_offset] (defaults: horizon pi/Omega,
-    4000 steps) locates the overlap regions, whose endpoints are then
-    refined by bisection.  The corrected bound is the reciprocal of the
-    largest R1(t_bar + t) over all detected intervals.
+    Closed form: with sin(phi) = a/hyp, G(t) = (b^2 hyp / 2 Omega^2)
+    (sin(4 Omega t + phi) - sin(phi)) - a, and x = 4 Omega (t_bar + t) + phi
+    = pi/2 + 4 Omega t, G > 0 exactly on x in (asin c + 2 pi k, pi - asin c
+    + 2 pi k) with c = a (b^2 + 2 Omega^2) / (b^2 hyp); c < 1 is the creation
+    criterion.  So G > 0 on |t - k pi/(2 Omega)| < half = asin(sqrt((1-c)/2))
+    / (2 Omega), where 1 - c = Omega^2 (b^2 - 2 a omega) (b^2 + 2 a omega) /
+    (b^2 hyp (hyp + a) (b^2 - 2 a^2 + 2 a hyp)) avoids the cancellation that
+    rounds c to 1 near the threshold.  dR1/dt has the sign of G and f > 0 iff
+    R1 > R4, so f rises on each such interval: a window runs from its G zero,
+    or the one zero of f (bisected to adjacent floats), to the other G zero
+    or the horizon, and R1 peaks at its right end, which gives
+    mu_upper_corrected = 1 / max R1(t_bar + right).  R1 - 1 at the right ends
+    falls by exp(-2a pi/(2 Omega)) per period, so the scan stops at the first
+    right end with f <= 0.  At a = 0 windows recur every period, and a
+    horizon over ``MAX_WINDOW_PERIODS`` periods raises ``ValueError``.
     """
-    if t_max_offset is None:
-        t_max_offset = math.pi / p.Omega
-    if grid_step is None:
-        grid_step = t_max_offset / _WINDOW_GRID_POINTS
-    t_max_offset = float(t_max_offset)
-    grid_step = float(grid_step)
-    if not (t_max_offset > 0.0 and grid_step > 0.0):
-        raise ValueError(f"need positive horizon and step, got {t_max_offset}, {grid_step}")
-    n = int(math.ceil(t_max_offset / grid_step))
-    if n < 2:
-        raise ValueError(f"degenerate window grid: step {grid_step} over horizon {t_max_offset}")
+    big_omega = p.Omega
+    period = math.pi / (2.0 * big_omega)
+    t_max_offset = math.pi / big_omega if t_max_offset is None else float(t_max_offset)
+    if not t_max_offset > 0.0:
+        raise ValueError(f"need a positive window horizon, got {t_max_offset}")
+    if not t_max_offset / period <= MAX_WINDOW_PERIODS:
+        raise ValueError(f"window horizon {t_max_offset} spans more than "
+                         f"{MAX_WINDOW_PERIODS} periods pi/(2 Omega) = {period}")
 
-    grid = np.linspace(0.0, t_max_offset, n + 1)
-    f, g, _ = _window_terms(p, grid)
-    inside = (f > 0.0) & (g > 0.0)
+    def f(t: float) -> float:
+        return _window_terms(p, t)[0]
 
-    def overlap(t: float) -> float:
-        fv, gv, _ = _window_terms(p, t)
-        return min(fv, gv)
-
+    half = 0.0
+    if can_create_entanglement(p):  # 1 - c divides by b
+        a, b, hyp, two_a_omega = p.a, p.b, p.hyp, 2.0 * p.a * p.omega
+        one_minus_c = ((big_omega / b) ** 2 / hyp * (b * b - two_a_omega) / (hyp + a)
+                       * (b * b + two_a_omega) / (b * b - 2.0 * a * a + 2.0 * a * hyp))
+        half = math.asin(math.sqrt(max(one_minus_c, 0.0) / 2.0)) / (2.0 * big_omega)
     intervals = []
-    i = 0
-    while i <= n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 <= n and inside[j + 1]:
-            j += 1
-        left = grid[i] if i == 0 else _bisect_boundary(overlap, grid[i - 1], grid[i])
-        right = grid[j] if j == n else _bisect_boundary(overlap, grid[j], grid[j + 1])
-        intervals.append((float(left), float(right)))
-        i = j + 1
+    k = 0
+    while half > 0.0 and k * period - half < t_max_offset:
+        left = max(k * period - half, 0.0)
+        right = min(k * period + half, t_max_offset)
+        k += 1
+        if not f(right) > 0.0:
+            break
+        intervals.append((left if f(left) > 0.0 else _first_positive(f, left, right), right))
 
     mu_physical = positivity_bound(p)
-    t_bar = p.t_bar
-    if intervals:
-        peak_r1 = 0.0
-        for left, right in intervals:
-            peak_r1 = max(peak_r1, r1_curve(p, t_bar + left), r1_curve(p, t_bar + right))
-            if right - left > 1e-12:
-                _, value = maximize_scalar(lambda t: r1_curve(p, t_bar + t), left, right)
-                peak_r1 = max(peak_r1, value)
-        mu_corrected = 1.0 / peak_r1
-    else:
-        mu_corrected = mu_physical
-    return WindowReport(
-        t_bar=t_bar,
-        intervals=tuple(intervals),
-        mu_upper_physical=mu_physical,
-        mu_upper_corrected=mu_corrected,
-        kills_all_entanglement=mu_corrected <= SEPARABLE_MU + 1e-12,
-    )
+    peaks = [r1_curve(p, p.t_bar + right) for _, right in intervals]
+    mu_corrected = 1.0 / max(peaks) if peaks else mu_physical
+    return WindowReport(t_bar=p.t_bar, intervals=tuple(intervals), mu_upper_physical=mu_physical,
+                        mu_upper_corrected=mu_corrected,
+                        kills_all_entanglement=mu_corrected <= SEPARABLE_MU + 1e-12)
 
 
 def partial_transpose_spectrum_check(p: ModelParams, mu: float, t: float,

@@ -91,12 +91,6 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     return merged
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _json_doc(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -110,6 +104,26 @@ def _report_payload(report) -> dict:
         "mu_upper_corrected": report.mu_upper_corrected,
         "kills_all_entanglement": report.kills_all_entanglement,
     }
+
+
+def _emit_table(args, header: list[str], rows: list[list], report=None) -> None:
+    """Write rows of floats (None for NA) as CSV or as a JSON table.
+
+    A window report goes out as the CSV trailer ``# window_report: {...}``
+    or as the JSON key ``"report"``.
+    """
+    if args.format == "json":
+        payload = {"schema": SCHEMA_VERSION, "columns": header, "rows": rows}
+        if report is not None:
+            payload["report"] = _report_payload(report)
+        text = _json_doc(payload)
+    else:
+        lines = [",".join(header)]
+        lines += [",".join("NA" if x is None else _fmt(x) for x in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+        if report is not None:
+            text += "# window_report: " + json.dumps(_report_payload(report)) + "\n"
+    _emit(text, args.output)
 
 
 def _cmd_classify(args) -> int:
@@ -162,9 +176,9 @@ def _cmd_derive_params(args) -> int:
     return 0
 
 
-def _check_grid(steps: int, t_max: float, omega: float, minimum: int = 1) -> None:
-    if not minimum <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must lie in [{minimum}, {MAX_STEPS}], got {steps}")
+def _check_grid(steps: int, t_max: float, omega: float) -> None:
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"time horizon must be finite and > 0, got {t_max}")
     # Grid times k * t_max / steps and the phase 2 Omega t (Omega <= omega)
@@ -186,22 +200,12 @@ def _cmd_eigs(args) -> int:
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     _check_grid(eff["steps"], eff["t-max"], p.omega)
-    header = ["t", "e1", "e2", "e3", "e4", "concurrence"]
-    rows = []
-    json_rows = []
     times = [k * eff["t-max"] / eff["steps"] for k in range(eff["steps"] + 1)]
-    for t, conc_val in zip(times, concurrence_curve(p, mu, np.array(times)).tolist()):
-        eigs = eigenvalues_closed_form(p, mu, t)
-        if math.isnan(conc_val):
-            conc_str, conc_val = "NA", None
-        else:
-            conc_str = _fmt(conc_val)
-        rows.append([_fmt(t)] + [_fmt(e) for e in eigs] + [conc_str])
-        json_rows.append([t, *eigs, conc_val])
-    if args.format == "json":
-        _emit(_json_doc({"schema": SCHEMA_VERSION, "columns": header, "rows": json_rows}), args.output)
-    else:
-        _emit(_csv(header, rows), args.output)
+    rows = [
+        [t, *eigenvalues_closed_form(p, mu, t), None if math.isnan(conc) else conc]
+        for t, conc in zip(times, concurrence_curve(p, mu, np.array(times)).tolist())
+    ]
+    _emit_table(args, ["t", "e1", "e2", "e3", "e4", "concurrence"], rows)
     return 0
 
 
@@ -214,28 +218,11 @@ def _cmd_windows(args) -> int:
     horizon = eff["t-max-offset"]
     if horizon is None:
         horizon = math.pi / p.Omega
-    _check_grid(eff["steps"], horizon, p.omega, minimum=2)
-    report = detect_windows(p, horizon, horizon / eff["steps"])
+    _check_grid(eff["steps"], horizon, p.omega)
+    report = detect_windows(p, horizon)
     offsets = np.linspace(0.0, horizon, eff["steps"] + 1)
-    f, g, headroom = window_functions(p, offsets)
-    header = ["t_offset", "f", "g", "headroom"]
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "columns": header,
-            "rows": [[float(t), float(fv), float(gv), float(hv)]
-                     for t, fv, gv, hv in zip(offsets, f, g, headroom)],
-            "report": _report_payload(report),
-        }
-        _emit(_json_doc(payload), args.output)
-    else:
-        rows = [
-            [_fmt(t), _fmt(fv), _fmt(gv), _fmt(hv)]
-            for t, fv, gv, hv in zip(offsets, f, g, headroom)
-        ]
-        text = _csv(header, rows)
-        text += "# window_report: " + json.dumps(_report_payload(report)) + "\n"
-        _emit(text, args.output)
+    rows = np.column_stack([offsets, *window_functions(p, offsets)]).tolist()
+    _emit_table(args, ["t_offset", "f", "g", "headroom"], rows, report)
     return 0
 
 
@@ -278,21 +265,8 @@ def _cmd_evolve(args) -> int:
     times = np.linspace(0.0, eff["t-max"], eff["steps"] + 1)
     traj = bloch_trajectory(p, r0, times)
     norms = np.sqrt((traj * traj).sum(axis=1))
-    header = ["t", "r1", "r2", "r3", "norm"]
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "columns": header,
-            "rows": [[float(t), *map(float, row), float(n)]
-                     for t, row, n in zip(times, traj, norms)],
-        }
-        _emit(_json_doc(payload), args.output)
-    else:
-        rows = [
-            [_fmt(t), _fmt(row[0]), _fmt(row[1]), _fmt(row[2]), _fmt(n)]
-            for t, row, n in zip(times, traj, norms)
-        ]
-        _emit(_csv(header, rows), args.output)
+    rows = np.column_stack([times, traj, norms]).tolist()
+    _emit_table(args, ["t", "r1", "r2", "r3", "norm"], rows)
     return 0
 
 
@@ -438,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("windows", help="entanglement-creation window diagnostics")
     _add_model_flags(sub)
     sub.add_argument("--t-max-offset", type=float, help="offset horizon (default pi/Omega)")
-    sub.add_argument("--steps", type=int, help="number of grid steps (default 4000)")
+    sub.add_argument("--steps", type=int, help="grid steps of the printed table only (default 4000)")
     _add_common(sub, fmt=True)
     sub.set_defaults(handler=_cmd_windows)
 

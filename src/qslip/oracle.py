@@ -143,7 +143,8 @@ def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float, tol:
 
     The coarse grid locates the best bracket (beating the oscillation scale
     of every curve in this package), and golden-section search refines it to
-    width ``tol``.  Returns ``(t_at_max, value)``.
+    width ``tol``, or until the float bracket stops shrinking, since far from
+    zero ``tol`` can lie below the float spacing.  Returns ``(t_at_max, value)``.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got {t_lo} >= {t_hi}")
@@ -157,6 +158,8 @@ def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float, tol:
     while hi - lo > tol:
         c = hi - (hi - lo) / _GOLDEN
         d = lo + (hi - lo) / _GOLDEN
+        if not lo < c < d < hi:
+            break
         if fn(c) >= fn(d):
             hi = d
         else:

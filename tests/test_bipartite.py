@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -418,8 +419,8 @@ def test_detect_windows_positive_regime_is_empty():
 
 
 def test_detect_windows_skips_headroom_scan(monkeypatch):
-    # The grid scan and the bisection need only f and g; R1 enters only the
-    # peak search inside detected windows.
+    # The window ends need only the closed-form G zeros and f; R1 enters
+    # only at the right end of each window, on a scalar offset.
     calls = []
     r1_curve = bipartite.r1_curve
 
@@ -456,12 +457,26 @@ def test_detect_windows_is_deterministic():
 
 def test_detect_windows_validation():
     p = ModelParams(0.3, 0.8)
-    with pytest.raises(ValueError):
-        detect_windows(p, -1.0)
-    with pytest.raises(ValueError):
-        detect_windows(p, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        detect_windows(p, 1.0, 10.0)  # fewer than two grid points
+    for horizon in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="positive window horizon"):
+            detect_windows(p, horizon)
+    period = math.pi / (2.0 * p.Omega)
+    for horizon in (1.01 * bipartite.MAX_WINDOW_PERIODS * period, math.inf):
+        with pytest.raises(ValueError, match="periods"):
+            detect_windows(p, horizon)
+    # The cap counts periods, not windows: at a > 0 the scan stops at the
+    # first window-free period, so the widest admitted horizon is cheap.
+    widest = detect_windows(p, bipartite.MAX_WINDOW_PERIODS * period)
+    assert widest.intervals == detect_windows(p).intervals
+    assert list(inspect.signature(detect_windows).parameters) == ["p", "t_max_offset"]
+
+
+def test_detect_windows_short_horizon_clips_the_window():
+    p = ModelParams(0.3, 0.8)
+    (_, right), = detect_windows(p).intervals
+    report = detect_windows(p, 0.5 * right)
+    assert report.intervals == ((0.0, 0.5 * right),)
+    assert report.mu_upper_corrected > detect_windows(p).mu_upper_corrected
 
 
 # ----------------------------------------------------------- partial transpose

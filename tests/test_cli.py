@@ -7,9 +7,9 @@ import numpy as np
 from qslip import cli
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "qslip", *args], capture_output=True, text=True
+        [sys.executable, "-m", "qslip", *args], capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -128,10 +128,37 @@ def test_windows_positive_regime():
 
 
 def test_windows_csv_grid():
-    proc = run_cli("windows", "--a", "0.3", "--b", "0.8", "--steps", "100")
-    header, rows = parse_csv(proc.stdout)
-    assert header == ["t_offset", "f", "g", "headroom"]
-    assert len(rows) == 101
+    # --steps sizes only the table, so one step is as valid as for eigs.
+    for steps in (100, 1):
+        proc = run_cli("windows", "--a", "0.3", "--b", "0.8", "--steps", str(steps))
+        header, rows = parse_csv(proc.stdout)
+        assert header == ["t_offset", "f", "g", "headroom"]
+        assert len(rows) == steps + 1
+        assert window_trailer(proc.stdout)["intervals"]
+
+
+def test_windows_rejects_a_horizon_over_the_period_cap():
+    # At a = 0 windows recur every period pi/(2 Omega), so an unbounded
+    # horizon would never finish; 1e12 spans about 5.5e11 periods.
+    proc = run_cli("windows", "--a", "0", "--b", "0.5", "--t-max-offset", "1e12", "--steps", "2",
+                   timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: window horizon 1000000000000.0 spans more than 1000000 periods" in proc.stderr
+
+
+def test_bounds_and_verify_terminate_near_b_equal_omega():
+    # Omega = sqrt(2e-12) puts the window horizon and the peak times near
+    # 2e6 and 5.6e5, where a fixed absolute bisection or golden-section
+    # tolerance lies below the float spacing.
+    proc = run_cli("bounds", "--a", "0", "--b", "0.999999999999", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["mu_corrected"] <= payload["R4_inv"]
+    proc = run_cli("verify", "--a", "0", "--b", "0.999999999999", "--t-max", "0.5",
+                   "--step", "1e-3", timeout=60)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "maxima_vs_golden_section" in proc.stdout
 
 
 def test_bounds_figure_point():

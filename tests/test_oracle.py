@@ -208,6 +208,22 @@ def test_maximizer_recovers_rate_factor_peak():
     assert abs(v - peak) <= 1e-6
 
 
+def test_maximizer_terminates_where_tol_is_below_the_float_spacing():
+    # Near t = 6e5 the float spacing is 1.2e-10, above the default tol 1e-10:
+    # the golden section stops once the bracket can no longer shrink.
+    calls = []
+
+    def parabola(x):
+        calls.append(x)
+        if len(calls) > 10_000:
+            raise AssertionError("golden section did not terminate")
+        return -((x - 6e5 - 0.3) ** 2)
+
+    t, v = maximize_scalar(parabola, 6e5, 6e5 + 1.0)
+    assert abs(t - (6e5 + 0.3)) <= 1e-6
+    assert v <= 0.0
+
+
 def test_maximizer_is_deterministic():
     p = ModelParams(0.1, 0.8)
     first = maximize_scalar(lambda x: r4_curve(p, x), 0.0, 3.0)
@@ -252,4 +268,25 @@ def test_no_module_reaches_into_a_sibling_private_name():
                 continue
             offenders += [f"{path.name}:{node.lineno} {name}" for name in names
                           if name.startswith("_") and not name.startswith("__")]
+    assert offenders == []
+
+
+def test_closed_forms_never_import_the_oracle_layer():
+    # The oracles check the closed forms, so no closed-form module may lean
+    # on them: semigroup, bipartite, slippage and _timekernel import
+    # nothing from oracle, relatively or absolutely.
+    package = Path(qmat.__file__).parent
+    offenders = []
+    for stem in ("semigroup", "bipartite", "slippage", "_timekernel"):
+        tree = ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+            else:
+                continue
+            if any("oracle" in name.split(".") for name in names):
+                offenders.append(f"{stem}.py:{node.lineno}")
     assert offenders == []
