@@ -212,30 +212,45 @@ def concurrence_curve(p: ModelParams, mu: float, t):
     return curve if curve.ndim else float(curve)
 
 
+def _g_max(p: ModelParams) -> float:
+    """Peak b^2 / (2 (hyp + a)) - a of G, -a at b = 0, taken without cancellation
+    near the creation threshold b^2 = 2 a omega as (b^2 - 2 a omega)(b^2 + 2 a omega)
+    / (2 (hyp + a)(b^2 - 2 a^2 + 2 a hyp)); the last factor is >= b^2 > 0."""
+    if p.b == 0.0:
+        return -p.a
+    a, b2, hyp, two_a_omega = p.a, p.b * p.b, p.hyp, 2.0 * p.a * p.omega
+    return ((b2 - two_a_omega) * (b2 + two_a_omega)
+            / (2.0 * (hyp + a) * (b2 - 2.0 * a * a + 2.0 * a * hyp)))
+
+
+def _rate_factor_at_offset(p: ModelParams, t_offset, k):
+    """G(t_bar + t_offset) for ``t_offset, k = time_kernel(...)``."""
+    s = k.sin(2.0 * p.Omega * t_offset)
+    return _g_max(p) - (p.b * p.b * p.hyp / (p.Omega * p.Omega)) * (s * s)
+
+
 def concurrence_rate_factor(p: ModelParams, t):
     """Sign factor G(t) of the concurrence time-derivative.
 
-        G(t) = (b^2 sqrt(Omega^2 + a^2) / Omega^2)
-               cos(2 Omega t + phi) sin(2 Omega t) - a,
-        cos(phi) = Omega / sqrt(Omega^2 + a^2), phi in [0, pi/2).
+        G(t) = (b^2 hyp / Omega^2) cos(2 Omega t + phi) sin(2 Omega t) - a
+             = G_max - (b^2 hyp / Omega^2) sin^2(2 Omega (t - t_bar)),
 
-    d c_mu / dt has the sign of G(t) for every mu > 0.
+    with hyp = sqrt(Omega^2 + a^2), cos(phi) = Omega / hyp and G_max the
+    peak of ``rate_factor_max``; the second form keeps the sign of G where
+    it is a small difference of large terms, near the creation threshold.
+    d c_mu / dt has the sign of G(t) for every mu > 0.  The first form is
+    ``qslip.oracle.rate_factor_product_form``, the tests' reference.
     """
     t, k = time_kernel(t)
-    big_omega = p.Omega
-    value = (p.b * p.b * p.hyp / (big_omega * big_omega)) * k.cos(
-        2.0 * big_omega * t + p.phi
-    ) * k.sin(2.0 * big_omega * t) - p.a
-    return k.out(value)
+    return k.out(_rate_factor_at_offset(p, t - p.t_bar, k))
 
 
 def rate_factor_max(p: ModelParams):
-    """Peak of G(t) and its location t_bar = t*/2:
+    """Peak of G(t) and its location t_bar = t*/2 (``p.t_bar``):
 
         max G = (b^2 / 2 Omega^2) (sqrt(Omega^2 + a^2) - a) - a.
     """
-    big_omega = p.Omega
-    return (p.b * p.b / (2.0 * big_omega * big_omega)) * (p.hyp - p.a) - p.a, p.t_bar
+    return _g_max(p), p.t_bar
 
 
 def can_create_entanglement(p: ModelParams) -> bool:
@@ -246,18 +261,14 @@ def can_create_entanglement(p: ModelParams) -> bool:
     return p.a * p.a < p.b ** 4 / (4.0 * p.omega * p.omega)
 
 
-def _window_terms(p: ModelParams, t_offset):
-    """``(f, g, t)`` of ``window_functions`` with t = t_bar + t_offset."""
-    t_offset, k = time_kernel(t_offset)
-    big_omega = p.Omega
+def _window_f(p: ModelParams, t_offset, k):
+    """f of ``window_functions`` for ``t_offset, k = time_kernel(...)``."""
     t_bar = p.t_bar
-    t = t_bar + t_offset
-    s = k.sin(2.0 * big_omega * t)
-    ratio = p.b / big_omega
-    f = k.exp(-2.0 * p.a * t_offset) * k.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
+    s = k.sin(2.0 * p.Omega * (t_bar + t_offset))
+    ratio = p.b / p.Omega
+    return k.exp(-2.0 * p.a * t_offset) * k.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
         -2.0 * p.a * t_bar
     ) * p.b / p.hyp
-    return k.out(f), concurrence_rate_factor(p, t), t
 
 
 def window_functions(p: ModelParams, t_offset):
@@ -271,8 +282,9 @@ def window_functions(p: ModelParams, t_offset):
     * ``headroom = R1(t_bar + t) - 3``: nonnegative values push the
       corrected mu bound to or below the separability threshold 1/3.
     """
-    f, g, t = _window_terms(p, t_offset)
-    return f, g, r1_curve(p, t) - 3.0
+    t_offset, k = time_kernel(t_offset)
+    return (k.out(_window_f(p, t_offset, k)), k.out(_rate_factor_at_offset(p, t_offset, k)),
+            r1_curve(p, p.t_bar + t_offset) - 3.0)
 
 
 @dataclass(frozen=True)
@@ -307,14 +319,10 @@ def _first_positive(fn, lo: float, hi: float) -> float:
 def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowReport:
     """Offsets t in [0, t_max_offset] (default pi/Omega) where f > 0 and g > 0.
 
-    Closed form: with sin(phi) = a/hyp, G(t) = (b^2 hyp / 2 Omega^2)
-    (sin(4 Omega t + phi) - sin(phi)) - a, and x = 4 Omega (t_bar + t) + phi
-    = pi/2 + 4 Omega t, G > 0 exactly on x in (asin c + 2 pi k, pi - asin c
-    + 2 pi k) with c = a (b^2 + 2 Omega^2) / (b^2 hyp); c < 1 is the creation
-    criterion.  So G > 0 on |t - k pi/(2 Omega)| < half = asin(sqrt((1-c)/2))
-    / (2 Omega), where 1 - c = Omega^2 (b^2 - 2 a omega) (b^2 + 2 a omega) /
-    (b^2 hyp (hyp + a) (b^2 - 2 a^2 + 2 a hyp)) avoids the cancellation that
-    rounds c to 1 near the threshold.  dR1/dt has the sign of G and f > 0 iff
+    Closed form: G(t_bar + t) = G_max - (b^2 hyp / Omega^2) sin^2(2 Omega t)
+    (see ``concurrence_rate_factor``), so under the creation criterion G_max
+    > 0, G > 0 exactly on |t - k pi/(2 Omega)| < half = asin(sqrt(G_max
+    Omega^2 / (b^2 hyp))) / (2 Omega).  dR1/dt has the sign of G and f > 0 iff
     R1 > R4, so f rises on each such interval: a window runs from its G zero,
     or the one zero of f (bisected to adjacent floats), to the other G zero
     or the horizon, and R1 peaks at its right end, which gives
@@ -333,14 +341,12 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
                          f"{MAX_WINDOW_PERIODS} periods pi/(2 Omega) = {period}")
 
     def f(t: float) -> float:
-        return _window_terms(p, t)[0]
+        return _window_f(p, *time_kernel(t))
 
     half = 0.0
-    if can_create_entanglement(p):  # 1 - c divides by b
-        a, b, hyp, two_a_omega = p.a, p.b, p.hyp, 2.0 * p.a * p.omega
-        one_minus_c = ((big_omega / b) ** 2 / hyp * (b * b - two_a_omega) / (hyp + a)
-                       * (b * b + two_a_omega) / (b * b - 2.0 * a * a + 2.0 * a * hyp))
-        half = math.asin(math.sqrt(max(one_minus_c, 0.0) / 2.0)) / (2.0 * big_omega)
+    if can_create_entanglement(p):  # the ratio below divides by b
+        ratio = max(_g_max(p), 0.0) * big_omega * big_omega / (p.b * p.b * p.hyp)
+        half = math.asin(math.sqrt(ratio)) / (2.0 * big_omega)
     intervals = []
     k = 0
     while half > 0.0 and k * period - half < t_max_offset:

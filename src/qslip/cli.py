@@ -3,8 +3,10 @@
 Subcommands: classify, derive-params, eigs, windows, bounds, verify,
 evolve.  CSV output is deterministic (header row, '.' decimals, 17
 significant digits, LF line endings, NA for undefined concurrence); JSON
-objects carry a top-level ``"schema": 1``.  A JSON config file whose keys
-equal the long flag names may supply any parameter; explicit flags win.
+objects carry a top-level ``"schema": 1``.  Each subcommand's parameters
+are declared once, in ``_COMMANDS``, which gives every one its flag, its
+config key (the long flag name), its type, its default and its help text.
+A JSON config file may supply any parameter; explicit flags win.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
@@ -28,12 +30,12 @@ from .bipartite import (
     r4_curve,
     r4_max,
     rate_factor_max,
-    concurrence_rate_factor,
     concurrence_wootters,
     partial_transpose_spectrum_check,
     window_functions,
 )
-from .oracle import MAX_STEPS, IntegratorConfig, integrate_master_2x2, maximize_scalar
+from .oracle import (MAX_STEPS, IntegratorConfig, integrate_master_2x2, maximize_scalar,
+                     rate_factor_product_form)
 from .semigroup import (
     BlochVector,
     ModelParams,
@@ -48,7 +50,6 @@ from .semigroup import (
 SCHEMA_VERSION = 1
 
 _REQUIRED = object()
-_INT_KEYS = {"steps"}
 
 
 def _fmt(x) -> str:
@@ -64,22 +65,23 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag values over config-file values over built-in defaults."""
+def _effective(args: argparse.Namespace) -> dict:
+    """Merge flag values over config-file values over the table's defaults."""
+    params = _COMMANDS[args.command][3]
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(config) - set(defaults))
+        unknown = sorted(set(config) - set(params))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
-    for name, fallback in defaults.items():
+    for name, (cast, fallback, _) in params.items():
         value = getattr(args, name.replace("-", "_"))
         if value is None and name in config:
-            value, cast = config[name], int if name in _INT_KEYS else float
+            value = config[name]
             if type(value) not in (int, cast) or not abs(value) <= sys.float_info.max:
                 raise ValueError(f"config value {name}={value!r} is not a finite {cast.__name__}")
             value = cast(value)
@@ -126,8 +128,7 @@ def _emit_table(args, header: list[str], rows: list[list], report=None) -> None:
     _emit(text, args.output)
 
 
-def _cmd_classify(args) -> int:
-    eff = _effective(args, {"a": _REQUIRED, "b": _REQUIRED, "omega": 1.0})
+def _cmd_classify(args, eff: dict) -> int:
     tag = classify(eff["a"], eff["b"], eff["omega"])
     payload = {
         "schema": SCHEMA_VERSION,
@@ -141,28 +142,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_derive_params(args) -> int:
-    eff = _effective(
-        args,
-        {
-            "g1": _REQUIRED,
-            "g2": _REQUIRED,
-            "g3": _REQUIRED,
-            "lambda": _REQUIRED,
-            "lambda3": _REQUIRED,
-            "omega-tilde": _REQUIRED,
-        },
-    )
-    rates = derive_params(
-        StochasticFieldParams(
-            g1=eff["g1"],
-            g2=eff["g2"],
-            g3=eff["g3"],
-            lam=eff["lambda"],
-            lam3=eff["lambda3"],
-            omega_tilde=eff["omega-tilde"],
-        )
-    )
+def _cmd_derive_params(args, eff: dict) -> int:
+    rates = derive_params(StochasticFieldParams(
+        g1=eff["g1"], g2=eff["g2"], g3=eff["g3"], lam=eff["lambda"], lam3=eff["lambda3"],
+        omega_tilde=eff["omega-tilde"]))
     payload = {
         "schema": SCHEMA_VERSION,
         "omega": rates.omega,
@@ -190,11 +173,7 @@ def _check_grid(steps: int, t_max: float, omega: float) -> None:
         )
 
 
-def _cmd_eigs(args) -> int:
-    eff = _effective(
-        args,
-        {"a": _REQUIRED, "b": _REQUIRED, "omega": 1.0, "mu": 1.0, "t-max": 5.0, "steps": 1000},
-    )
+def _cmd_eigs(args, eff: dict) -> int:
     mu = eff["mu"]
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
@@ -209,11 +188,7 @@ def _cmd_eigs(args) -> int:
     return 0
 
 
-def _cmd_windows(args) -> int:
-    eff = _effective(
-        args,
-        {"a": _REQUIRED, "b": _REQUIRED, "omega": 1.0, "t-max-offset": None, "steps": 4000},
-    )
+def _cmd_windows(args, eff: dict) -> int:
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     horizon = eff["t-max-offset"]
     if horizon is None:
@@ -226,8 +201,7 @@ def _cmd_windows(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    eff = _effective(args, {"a": _REQUIRED, "b": _REQUIRED, "omega": 1.0})
+def _cmd_bounds(args, eff: dict) -> int:
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     radius, t_prime = norm_bound_max(p)
     peak4, t_star = r4_max(p)
@@ -245,20 +219,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_evolve(args) -> int:
-    eff = _effective(
-        args,
-        {
-            "a": _REQUIRED,
-            "b": _REQUIRED,
-            "omega": 1.0,
-            "r1": 1.0 / math.sqrt(2.0),
-            "r2": 1.0 / math.sqrt(2.0),
-            "r3": 0.0,
-            "t-max": 5.0,
-            "steps": 1000,
-        },
-    )
+def _cmd_evolve(args, eff: dict) -> int:
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     _check_grid(eff["steps"], eff["t-max"], p.omega)
     r0 = BlochVector(eff["r1"], eff["r2"], eff["r3"])
@@ -278,14 +239,8 @@ def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step
     cfg = IntegratorConfig(step=step, t_max=t_max)
     r0 = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
     traj = integrate_master_2x2(p, r0.to_density_matrix(), cfg)
-    numeric = np.stack(
-        [
-            2.0 * traj.states[:, 0, 1].real,
-            -2.0 * traj.states[:, 0, 1].imag,
-            2.0 * traj.states[:, 0, 0].real - 1.0,
-        ],
-        axis=-1,
-    )
+    rho01, rho00 = traj.states[:, 0, 1], traj.states[:, 0, 0].real
+    numeric = np.stack([2.0 * rho01.real, -2.0 * rho01.imag, 2.0 * rho00 - 1.0], axis=-1)
     analytic = bloch_trajectory(p, r0, traj.times)
     dev = float(np.abs(numeric - analytic).max())
     yield "propagator_vs_rk4", dev <= tol_ode, f"max_dev={dev:.3e} tol={tol_ode:.1e}"
@@ -310,11 +265,8 @@ def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step
             woot = concurrence_wootters(evolve_isotropic(p, mu_check, float(t)))
             dev = max(dev, abs(closed - woot))
             compared += 1
-    yield (
-        "concurrence_closed_vs_wootters",
-        dev <= tol_alg and compared > 0,
-        f"max_dev={dev:.3e} tol={tol_alg:.1e} points={compared}",
-    )
+    yield ("concurrence_closed_vs_wootters", dev <= tol_alg and compared > 0,
+           f"max_dev={dev:.3e} tol={tol_alg:.1e} points={compared}")
 
     # An argmax is compared only where it is unique: the closed form gives
     # no peak time of R(t) for positive maps (a >= b), and R4(t) = 1 and
@@ -324,7 +276,7 @@ def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step
     for (peak, t_peak), curve, unique in (
         (norm_bound_max(p), lambda t: math.sqrt(norm_bound_curve(p, t)), p.a < p.b),
         (r4_max(p), lambda t: r4_curve(p, t), p.b > 0.0),
-        (rate_factor_max(p), lambda t: concurrence_rate_factor(p, t), p.b > 0.0),
+        (rate_factor_max(p), lambda t: rate_factor_product_form(p, t), p.b > 0.0),
     ):
         t_num, v_num = maximize_scalar(curve, 0.0, bracket)
         dev = max(dev, abs(peak - v_num), abs(t_peak - t_num) if unique else 0.0)
@@ -336,19 +288,7 @@ def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step
     yield "ppt_mu_sign_symmetry", ok, f"tol={tol_alg:.1e}"
 
 
-def _cmd_verify(args) -> int:
-    eff = _effective(
-        args,
-        {
-            "a": _REQUIRED,
-            "b": _REQUIRED,
-            "omega": 1.0,
-            "mu": 0.2,
-            "tol": 1e-8,
-            "t-max": 2.0,
-            "step": 1e-4,
-        },
-    )
+def _cmd_verify(args, eff: dict) -> int:
     mu = eff["mu"]
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
@@ -366,17 +306,52 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, *, fmt: bool) -> None:
-    sub.add_argument("--config", help="JSON file whose keys mirror the long flag names")
-    sub.add_argument("--output", help="output path (default: stdout)")
-    if fmt:
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+_MODEL = {
+    "a": (float, _REQUIRED, "damping rate a >= 0"),
+    "b": (float, _REQUIRED, "off-diagonal rate b >= 0"),
+    "omega": (float, 1.0, "precession frequency (default 1)"),
+}
 
-
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=float, help="damping rate a >= 0")
-    sub.add_argument("--b", type=float, help="off-diagonal rate b >= 0")
-    sub.add_argument("--omega", type=float, help="precession frequency (default 1)")
+# name -> (handler, help, has --format, {flag: (type, default, help)}).
+# argparse leaves each flag None when absent, so a config value can fill it.
+_COMMANDS = {
+    "classify": (_cmd_classify, "positivity class of the map family", False, _MODEL),
+    "derive-params": (_cmd_derive_params, "model rates from stochastic-field constants", False, {
+        "g1": (float, _REQUIRED, "first transverse noise strength"),
+        "g2": (float, _REQUIRED, "second transverse noise strength"),
+        "g3": (float, _REQUIRED, "longitudinal noise strength"),
+        "lambda": (float, _REQUIRED, "transverse correlation rate"),
+        "lambda3": (float, _REQUIRED, "longitudinal correlation rate"),
+        "omega-tilde": (float, _REQUIRED, "bare precession frequency"),
+    }),
+    "eigs": (_cmd_eigs, "spectrum and concurrence of the evolved isotropic state", True, {
+        **_MODEL,
+        "mu": (float, 1.0, "contraction strength in [0, 1] (default 1)"),
+        "t-max": (float, 5.0, "time horizon (default 5)"),
+        "steps": (int, 1000, "number of grid steps (default 1000)"),
+    }),
+    "windows": (_cmd_windows, "entanglement-creation window diagnostics", True, {
+        **_MODEL,
+        "t-max-offset": (float, None, "offset horizon (default pi/Omega)"),
+        "steps": (int, 4000, "grid steps of the printed table only (default 4000)"),
+    }),
+    "bounds": (_cmd_bounds, "critical radii and contraction bounds", False, _MODEL),
+    "verify": (_cmd_verify, "run the oracle cross-check suite", False, {
+        **_MODEL,
+        "mu": (float, 0.2, "contraction strength (default 0.2)"),
+        "tol": (float, 1e-8, "tolerance for the ODE checks (default 1e-8)"),
+        "t-max": (float, 2.0, "integration horizon (default 2)"),
+        "step": (float, 1e-4, "RK4 step (default 1e-4)"),
+    }),
+    "evolve": (_cmd_evolve, "Bloch-vector trajectory of a single qubit", True, {
+        **_MODEL,
+        "r1": (float, 1.0 / math.sqrt(2.0), "initial r1 (default 1/sqrt(2))"),
+        "r2": (float, 1.0 / math.sqrt(2.0), "initial r2 (default 1/sqrt(2))"),
+        "r3": (float, 0.0, "initial r3 (default 0)"),
+        "t-max": (float, 5.0, "time horizon (default 5)"),
+        "steps": (int, 1000, "number of grid steps (default 1000)"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,68 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dephasing-qubit semigroup, slippage channel, and entanglement diagnostics.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("classify", help="positivity class of the map family")
-    _add_model_flags(sub)
-    _add_common(sub, fmt=False)
-    sub.set_defaults(handler=_cmd_classify)
-
-    sub = subs.add_parser("derive-params", help="model rates from stochastic-field constants")
-    sub.add_argument("--g1", type=float, help="first transverse noise strength")
-    sub.add_argument("--g2", type=float, help="second transverse noise strength")
-    sub.add_argument("--g3", type=float, help="longitudinal noise strength")
-    sub.add_argument("--lambda", type=float, help="transverse correlation rate")
-    sub.add_argument("--lambda3", type=float, help="longitudinal correlation rate")
-    sub.add_argument("--omega-tilde", type=float, help="bare precession frequency")
-    _add_common(sub, fmt=False)
-    sub.set_defaults(handler=_cmd_derive_params)
-
-    sub = subs.add_parser("eigs", help="spectrum and concurrence of the evolved isotropic state")
-    _add_model_flags(sub)
-    sub.add_argument("--mu", type=float, help="contraction strength in [0, 1] (default 1)")
-    sub.add_argument("--t-max", type=float, help="time horizon (default 5)")
-    sub.add_argument("--steps", type=int, help="number of grid steps (default 1000)")
-    _add_common(sub, fmt=True)
-    sub.set_defaults(handler=_cmd_eigs)
-
-    sub = subs.add_parser("windows", help="entanglement-creation window diagnostics")
-    _add_model_flags(sub)
-    sub.add_argument("--t-max-offset", type=float, help="offset horizon (default pi/Omega)")
-    sub.add_argument("--steps", type=int, help="grid steps of the printed table only (default 4000)")
-    _add_common(sub, fmt=True)
-    sub.set_defaults(handler=_cmd_windows)
-
-    sub = subs.add_parser("bounds", help="critical radii and contraction bounds")
-    _add_model_flags(sub)
-    _add_common(sub, fmt=False)
-    sub.set_defaults(handler=_cmd_bounds)
-
-    sub = subs.add_parser("verify", help="run the oracle cross-check suite")
-    _add_model_flags(sub)
-    sub.add_argument("--mu", type=float, help="contraction strength (default 0.2)")
-    sub.add_argument("--tol", type=float, help="tolerance for the ODE checks (default 1e-8)")
-    sub.add_argument("--t-max", type=float, help="integration horizon (default 2)")
-    sub.add_argument("--step", type=float, help="RK4 step (default 1e-4)")
-    _add_common(sub, fmt=False)
-    sub.set_defaults(handler=_cmd_verify)
-
-    sub = subs.add_parser("evolve", help="Bloch-vector trajectory of a single qubit")
-    _add_model_flags(sub)
-    sub.add_argument("--r1", type=float, help="initial r1 (default 1/sqrt(2))")
-    sub.add_argument("--r2", type=float, help="initial r2 (default 1/sqrt(2))")
-    sub.add_argument("--r3", type=float, help="initial r3 (default 0)")
-    sub.add_argument("--t-max", type=float, help="time horizon (default 5)")
-    sub.add_argument("--steps", type=int, help="number of grid steps (default 1000)")
-    _add_common(sub, fmt=True)
-    sub.set_defaults(handler=_cmd_evolve)
-
+    for name, (_, help_text, has_format, params) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag, (cast, _, flag_help) in params.items():
+            sub.add_argument(f"--{flag}", type=cast, help=flag_help)
+        sub.add_argument("--config", help="JSON file whose keys mirror the long flag names")
+        sub.add_argument("--output", help="output path (default: stdout)")
+        if has_format:
+            sub.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][0](args, _effective(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,12 @@
 """Independent numerical cross-checks for the closed forms.
 
 Fixed-step RK4 integration of the qubit master equation (and of its
-one-sided two-qubit amplification) and a deterministic coarse-grid plus
-golden-section scalar maximizer.  Neither reuses the analytic propagator
-machinery: the integrators read only the rates ``a``, ``b`` and ``omega``
-of a ``ModelParams``, never a cached closed-form constant, which is what
-makes them usable as oracles against it.
+one-sided two-qubit amplification), a deterministic coarse-grid plus
+golden-section scalar maximizer, and the paper's product form of the
+concurrence rate factor G.  None reuses the analytic propagator machinery:
+the integrators and the product form read only the rates ``a``, ``b`` and
+``omega`` of a ``ModelParams``, never a cached closed-form constant, which
+is what makes them usable as oracles against it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import qmat
+from ._timekernel import time_kernel
 from .semigroup import ModelParams
 
 # Fixed-step accuracy guard: the step must resolve the fastest rate.
@@ -166,3 +168,17 @@ def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float, tol:
             lo = c
     t_best = 0.5 * (lo + hi)
     return t_best, fn(t_best)
+
+
+def rate_factor_product_form(p: ModelParams, t):
+    """G(t) = (b^2 hyp / Omega^2) cos(2 Omega t + phi) sin(2 Omega t) - a, tan(phi) = a / Omega.
+
+    The paper's form of ``qslip.bipartite.concurrence_rate_factor``, from the
+    rates alone, for a scalar or an array t.  Near the creation threshold
+    its peak is a small difference of large terms and reads their round-off.
+    """
+    t, k = time_kernel(t)
+    big_omega = math.sqrt(p.omega * p.omega - p.b * p.b)
+    scale = p.b * p.b * math.hypot(big_omega, p.a) / (big_omega * big_omega)
+    x = 2.0 * big_omega * t
+    return k.out(scale * k.cos(x + math.atan2(p.a, big_omega)) * k.sin(x) - p.a)

@@ -21,11 +21,10 @@ last case Bloch vectors can leave the unit ball, with peak radius given by
 ``norm_bound_max``.  A converter from raw stochastic-field constants to the
 model rates is included.
 
-``propagate``/``bloch_trajectory`` and ``norm_bound_curve`` evaluate time
-through one scalar-or-array kernel (``qslip._timekernel``, which says how
-its scalar path stays bit-identical to the array path);
-``bloch_propagator``, which builds one matrix at a time from a
-``ModelParams``, keeps ``math.exp``.
+``bloch_propagator``, ``propagate``/``bloch_trajectory`` and
+``norm_bound_curve`` evaluate time through one scalar-or-array kernel
+(``qslip._timekernel``, which says how its scalar path stays bit-identical
+to the array path).
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ class ModelParams:
     is the completely positive branch.
 
     The derived constants are cached properties, computed once per instance:
-    ``Omega``; ``hyp = sqrt(Omega^2 + a^2)``; the phase ``phi`` of the rate
-    factor G, with ``cos(phi) = Omega / hyp``; the time ``t_star`` and value
+    ``Omega``; ``hyp = sqrt(Omega^2 + a^2)``; the time ``t_star`` and value
     ``R4`` of the positivity radius peak; and ``t_bar = t_star / 2``, where
-    G peaks.
+    the rate factor G of ``qslip.bipartite`` peaks.
     """
 
     a: float
@@ -92,15 +90,13 @@ class ModelParams:
         return math.sqrt(self.Omega * self.Omega + self.a * self.a)
 
     @cached_property
-    def phi(self) -> float:
-        """Phase of the rate factor G: cos(phi) = Omega / hyp, phi in [0, pi/2)."""
-        return math.acos(self.Omega / self.hyp)
-
-    @cached_property
     def t_star(self) -> float:
-        """Time (1 / 2 Omega) arcsin(Omega / hyp) of the positivity radius peak."""
-        # The ratio equals 1 exactly at a = 0; clamp away rounding overshoot.
-        return math.asin(min(1.0, self.Omega / self.hyp)) / (2.0 * self.Omega)
+        """Time (1 / 2 Omega) arcsin(Omega / hyp) of the positivity radius peak.
+
+        Taken as atan2(Omega, a) / (2 Omega): arcsin near 1 loses digits as
+        a / Omega -> 0.
+        """
+        return math.atan2(self.Omega, self.a) / (2.0 * self.Omega)
 
     @cached_property
     def R4(self) -> float:
@@ -270,11 +266,12 @@ def classify(p, b: float | None = None, omega: float = 1.0) -> Classification:
 
 
 def bloch_propagator(p: ModelParams, t: float) -> np.ndarray:
-    """Analytic 3x3 Bloch propagator exp(-2 t L) of the model at time t."""
+    """Analytic 3x3 Bloch propagator exp(-2 t L) of the model at a scalar time t."""
+    t, k = time_kernel(t)
     big_omega = p.Omega
-    decay = math.exp(-2.0 * p.a * t)
-    c = math.cos(2.0 * big_omega * t)
-    s = math.sin(2.0 * big_omega * t)
+    decay = k.exp(-2.0 * p.a * t)
+    c = k.cos(2.0 * big_omega * t)
+    s = k.sin(2.0 * big_omega * t)
     return np.array(
         [
             [decay * c, -decay * (p.omega + p.b) / big_omega * s, 0.0],
@@ -347,16 +344,16 @@ def norm_bound_max(p: ModelParams):
         R  = exp(-2 a t') sqrt( (omega + sqrt(b^2 - a^2))
                               / (omega - sqrt(b^2 - a^2)) )
         t' = (1 / 2 Omega) arcsin( (Omega/b) sqrt((b^2 - a^2)/(Omega^2 + a^2)) )
+           = (1 / 2 Omega) atan2(Omega sqrt(b^2 - a^2), a omega)
 
-    and R > 1 is guaranteed.  Positive maps never leave the ball, so for
-    a^2 >= b^2 the pair (1.0, 0.0) is returned.
+    (the atan2 form keeps the digits that arcsin loses near 1) and R > 1 is
+    guaranteed.  Positive maps never leave the ball, so for a^2 >= b^2 the
+    pair (1.0, 0.0) is returned.
     """
     if p.a * p.a >= p.b * p.b:
         return 1.0, 0.0
     big_omega = p.Omega
     root = math.sqrt(p.b * p.b - p.a * p.a)
-    # The argument equals 1 exactly at a = 0; clamp away rounding overshoot.
-    arg = min(1.0, big_omega / p.b * math.sqrt((p.b * p.b - p.a * p.a) / (big_omega ** 2 + p.a ** 2)))
-    t_prime = math.asin(arg) / (2.0 * big_omega)
+    t_prime = math.atan2(big_omega * root, p.a * p.omega) / (2.0 * big_omega)
     radius = math.exp(-2.0 * p.a * t_prime) * math.sqrt((p.omega + root) / (p.omega - root))
     return radius, t_prime

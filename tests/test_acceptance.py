@@ -22,7 +22,6 @@ from qslip import (
     classify,
     compose_actions,
     concurrence_closed_form,
-    concurrence_rate_factor,
     concurrence_wootters,
     detect_windows,
     eigenvalues_closed_form,
@@ -38,6 +37,7 @@ from qslip import (
     r4_curve,
     r4_max,
     rate_factor_max,
+    rate_factor_product_form,
     semigroup_action,
     slippage_action,
     window_functions,
@@ -154,7 +154,7 @@ def test_criterion_07_maxima_match_golden_section():
         t_num, v_num = maximize_scalar(lambda t: r4_curve(p, t), 0.0, bracket)
         worst = max(worst, abs(peak4 - v_num), abs(t_star - t_num))
         peak_g, t_bar = rate_factor_max(p)
-        t_num, v_num = maximize_scalar(lambda t: concurrence_rate_factor(p, t), 0.0, bracket)
+        t_num, v_num = maximize_scalar(lambda t: rate_factor_product_form(p, t), 0.0, bracket)
         worst = max(worst, abs(peak_g - v_num), abs(t_bar - t_num))
     _criterion(7, worst <= 1e-6, f"(R,t'), (R4,t*), (G,t_bar) vs maximizer: {worst:.3e} <= 1e-6")
 
@@ -165,7 +165,10 @@ def test_criterion_08_entanglement_creation_criterion():
     tested = 0
     for _ in range(1000):
         p = random_model_params(rng)
-        peak, _ = rate_factor_max(p)
+        # The sign of max G from the maximizer on the product form, not from
+        # the closed-form peak that shares its algebra with the criterion.
+        _, peak = maximize_scalar(lambda t: rate_factor_product_form(p, t), 0.0,
+                                  math.pi / (2.0 * p.Omega))
         if abs(peak) < 1e-10:
             continue
         ok &= can_create_entanglement(p) == (peak > 0.0)

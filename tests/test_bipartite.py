@@ -26,6 +26,7 @@ from qslip import (
     r4_curve,
     r4_max,
     rate_factor_max,
+    rate_factor_product_form,
     semigroup_action,
     symmetric_projector,
     window_functions,
@@ -336,12 +337,32 @@ def test_rate_factor_at_zero_and_peak():
         assert abs(concurrence_rate_factor(p, 0.0) + p.a) <= 1e-15
         peak, t_bar = rate_factor_max(p)
         t_num, v_num = maximize_scalar(
-            lambda t: concurrence_rate_factor(p, t), 0.0, math.pi / (2.0 * p.Omega), tol=1e-12
+            lambda t: rate_factor_product_form(p, t), 0.0, math.pi / (2.0 * p.Omega), tol=1e-12
         )
         assert abs(peak - v_num) <= 1e-8
         assert abs(t_bar - t_num) <= 1e-6
         _, t_star = r4_max(p)
         assert abs(t_bar - t_star / 2.0) <= 1e-15
+
+
+def test_rate_factor_matches_the_product_form():
+    # The sin^2 form against the paper's cos * sin product, which shares no
+    # constant with it beyond the rates; they differ by round-off of the
+    # product's large terms b^2 hyp / Omega^2.
+    rng = np.random.default_rng(41)
+    ts = np.linspace(0.0, 10.0, 2001)
+    for _ in range(200):
+        p = random_model_params(rng)
+        scale = p.b * p.b * p.hyp / (p.Omega * p.Omega) + p.a
+        dev = np.abs(concurrence_rate_factor(p, ts) - rate_factor_product_form(p, ts)).max()
+        assert dev <= 3e-14 * scale, (p, dev / scale)
+
+
+def test_rate_factor_max_near_the_creation_threshold():
+    # b^2 / (2 (hyp + a)) - a cancels to about 1e-12 here; the reference is
+    # a 50-digit mpmath evaluation at the same float inputs.
+    peak, _ = rate_factor_max(ModelParams(0.7499985000000001, 1.4999985, 1.5))
+    assert abs(peak / 1.4997749558226576e-12 - 1.0) <= 1e-3
 
 
 def test_entanglement_creation_criterion_examples():

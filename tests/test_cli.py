@@ -308,13 +308,39 @@ def test_evolve_third_component_constant():
     assert all(abs(float(row[4]) - 1.0) <= 1e-12 for row in rows)
 
 
-def test_config_file_matches_flags(tmp_path):
+# Every declared parameter of each subcommand, none at its default.
+_ALL_PARAMETERS = {
+    "classify": {"a": 0.1, "b": 0.9, "omega": 1.1},
+    "derive-params": {"g1": 2.5, "g2": 1, "g3": 1.5, "lambda": 10, "lambda3": 2, "omega-tilde": 1.2},
+    "eigs": {"a": 0.1, "b": 0.9, "omega": 1.1, "mu": 0.2, "t-max": 3.0, "steps": 50},
+    "windows": {"a": 0.3, "b": 0.8, "omega": 1.1, "t-max-offset": 2.0, "steps": 50},
+    "bounds": {"a": 0.3, "b": 0.8, "omega": 1.1},
+    "verify": {"a": 0.1, "b": 0.9, "omega": 1.1, "mu": 0.3, "tol": 1e-7, "t-max": 0.5,
+               "step": 1e-3},
+    "evolve": {"a": 0.1, "b": 0.9, "omega": 1.1, "r1": 0.1, "r2": 0.2, "r3": 0.3, "t-max": 2.0,
+               "steps": 50},
+}
+
+
+def test_config_file_matches_flags(tmp_path, capsys):
+    assert set(_ALL_PARAMETERS) == set(cli._COMMANDS)
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"a": 0.1, "b": 0.9, "mu": 0.2, "steps": 50}))
-    from_config = run_cli("eigs", "--config", str(config))
-    from_flags = run_cli("eigs", "--a", "0.1", "--b", "0.9", "--mu", "0.2", "--steps", "50")
-    assert from_config.returncode == 0
-    assert from_config.stdout == from_flags.stdout
+    for command, values in _ALL_PARAMETERS.items():
+        assert set(values) == set(cli._COMMANDS[command][3]), command
+        config.write_text(json.dumps(values))
+        assert cli.main([command, "--config", str(config)]) == 0, command
+        from_config = capsys.readouterr()
+        flags = [item for name, value in values.items() for item in (f"--{name}", str(value))]
+        assert cli.main([command, *flags]) == 0, command
+        assert capsys.readouterr() == from_config, command
+
+
+def test_help_lists_every_declared_flag():
+    for command, (_, _, has_format, params) in cli._COMMANDS.items():
+        proc = run_cli(command, "--help")
+        assert proc.returncode == 0, proc.stderr
+        for flag in [*params, "config", "output", *(["format"] if has_format else [])]:
+            assert f"--{flag} " in proc.stdout, (command, flag)
 
 
 def test_flags_override_config(tmp_path):

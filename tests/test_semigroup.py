@@ -294,6 +294,14 @@ def test_norm_bound_max_matches_maximizer():
         assert abs(t_prime - t_num) <= 1e-6
 
 
+def test_peak_times_at_small_damping():
+    # a / Omega = 2.3e-6, where arcsin(Omega / hyp) sits at 1 - 3e-12; the
+    # references are 50-digit mpmath evaluations at the same float inputs.
+    p = ModelParams(1e-6, 0.9)
+    assert abs(r4_max(p)[1] / 1.8018243287852227 - 1.0) <= 1e-15
+    assert abs(norm_bound_max(p)[1] / 1.8018240363875619 - 1.0) <= 1e-15
+
+
 def test_norm_bound_max_positive_regime():
     assert norm_bound_max(ModelParams(0.5, 0.3)) == (1.0, 0.0)
 

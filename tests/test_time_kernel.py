@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qslip import (
     BlochVector,
     ModelParams,
+    bloch_propagator,
     bloch_trajectory,
     concurrence_closed_form,
     concurrence_curve,
@@ -118,3 +119,10 @@ def test_scalar_calls_match_array_elements(case):
                                           eigenvalues_closed_form(p, mu, zero_d)):
                     _check(got, reference)
                 _check(concurrence_closed_form(p, mu, ts), concurrence_closed_form(p, mu, zero_d))
+
+
+def test_propagator_decay_matches_trajectory():
+    # Both read exp(-2at) through np.exp; math.exp differs in the last ulp here.
+    p, t = ModelParams(0.08564916714362436, 0.9), 1.1840525329804985
+    image = bloch_trajectory(p, BlochVector(1.0, 0.0, 0.0), [t])[0, 0]
+    assert bloch_propagator(p, t)[0, 0] == image

@@ -1,8 +1,9 @@
 """Window invariants of ``detect_windows`` on the whole creation domain.
 
 The closed-form windows are checked against a dense-grid reference that
-never reuses the closed form: it evaluates f and g on a uniform offset grid
-and reports every grid point where both are positive.  Hypothesis draws
+never reuses their ends or the peak G_max they come from: it evaluates f
+and the paper's product form of g (``rate_factor_product_form``) on a
+uniform offset grid and reports every grid point where both are positive.  Hypothesis draws
 (derandomized) cover a = 0 and 0 <= a < b^2 / (2 omega), the creation
 region, with b/omega from 1e-12 to 1 - 1e-12.
 """
@@ -10,15 +11,15 @@ region, with b/omega from 1e-12 to 1 - 1e-12.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslip import (
     ModelParams,
     can_create_entanglement,
-    concurrence_rate_factor,
     detect_windows,
     r1_curve,
+    rate_factor_product_form,
     window_functions,
 )
 
@@ -36,14 +37,8 @@ _PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 _REFERENCE_POINTS = 20_001
 # Round-off margin, in units of the largest term.  R1 (up to about 1.4e6 at
 # b/omega = 1 - 1e-12) may break its exact monotonicity in the last few
-# ulps.  g = (b^2 hyp / Omega^2) cos(.) sin(.) - a carries a few ulps of its
-# terms; near the creation threshold the true peak of G, b^2 / 2 (hyp + a)
-# - a, lies below that, and g there reads only the noise.
+# ulps.
 _ULPS = 8 * np.finfo(float).eps
-
-
-def g_roundoff(p: ModelParams) -> float:
-    return _ULPS * (p.b * p.b * p.hyp / (p.Omega * p.Omega) + p.a)
 
 
 @st.composite
@@ -54,14 +49,22 @@ def _creation_params(draw):
 
 
 def dense_grid_window_points(p: ModelParams, horizon: float, points: int = _REFERENCE_POINTS):
-    """Grid offsets in [0, horizon] where f > 0 and g > 0, and the grid step."""
+    """Grid offsets in [0, horizon] where f > 0 and g > 0, and the grid step.
+
+    g is the product form at t_bar + offset; near the creation threshold it
+    reads round-off, which the one-step widening of the windows absorbs.
+    """
     grid = np.linspace(0.0, horizon, points)
-    f, g, _ = window_functions(p, grid)
+    f, _, _ = window_functions(p, grid)
+    g = rate_factor_product_form(p, p.t_bar + grid)
     return grid[(f > 0.0) & (g > 0.0)], grid[1] - grid[0]
 
 
 @_PROPERTY_SETTINGS
 @given(_creation_params())
+# Exact max G is 3.2e-17: a G that cancels its large terms reads 0 at the
+# midpoint of the second window.
+@example(ModelParams(0.18749999999999997, 0.75, 1.5))
 def test_window_invariants(p):
     report = detect_windows(p)
     horizon = math.pi / p.Omega
@@ -72,12 +75,18 @@ def test_window_invariants(p):
     for t1, t2 in report.intervals:
         mid = 0.5 * (t1 + t2)
         f, g, _ = window_functions(p, mid)
-        assert f > 0.0 and g > -g_roundoff(p), (t1, t2, f, g)
+        assert f > 0.0 and g > 0.0, (t1, t2, f, g)
         r1_left, r1_mid, r1_right = (r1_curve(p, report.t_bar + t) for t in (t1, mid, t2))
         assert r1_right >= max(r1_left, r1_mid) * (1.0 - _ULPS)
 
     assert report.mu_upper_corrected <= report.mu_upper_physical
     assert report.kills_all_entanglement == (report.mu_upper_corrected <= 1.0 / 3.0 + 1e-12)
+
+    # g, whose peak also sets the window ends, agrees with the product form
+    # to round-off of the product's large terms b^2 hyp / Omega^2.
+    grid = np.linspace(0.0, horizon, 1001)
+    g_dev = np.abs(window_functions(p, grid)[1] - rate_factor_product_form(p, report.t_bar + grid))
+    assert g_dev.max() <= 4 * _ULPS * (p.b * p.b * p.hyp / (p.Omega * p.Omega) + p.a)
 
     inside, step = dense_grid_window_points(p, horizon)
     lefts = np.array([t1 for t1, _ in report.intervals]) - step
@@ -113,7 +122,7 @@ def test_window_narrower_than_the_old_grid_step_is_found():
     for t1, t2 in report.intervals:
         f, g, _ = window_functions(p, 0.5 * (t1 + t2))
         assert f > 0.0 and g > 0.0
-        assert concurrence_rate_factor(p, report.t_bar + 0.5 * (t1 + t2)) > 0.0
+        assert rate_factor_product_form(p, report.t_bar + 0.5 * (t1 + t2)) > 0.0
     # A reference grid fine enough to resolve the middle window sees it.
     inside, step = dense_grid_window_points(p, math.pi / p.Omega, 200_001)
     assert ((inside > l1 - step) & (inside < r1 + step)).any()
