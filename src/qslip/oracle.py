@@ -95,23 +95,61 @@ def _dissipative_rhs(p: ModelParams, s1, s2, s3) -> Callable[[np.ndarray], np.nd
 
 
 def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
-    # Row j of rhs(basis) is vec(rhs(E_j)) (row-major vec); the C-ordered
-    # transpose keeps 2x2 round-off bit-identical to rhs on matrices.  The
-    # stages stay separate: one collapsed step matrix shifts the round-off.
+    # Row j of rhs(basis) is vec(rhs(E_j)) (row-major vec), so its transpose
+    # is the generator acting on vec(rho).  The state has 4 or 16 entries and
+    # each generator row at most two nonzero ones (the rows of entries that
+    # are diagonal in the bath qubit none): numpy's per-call overhead would
+    # cost far more than the arithmetic, so the stages run on Python complex
+    # scalars over each row's nonzero (column, value) pairs, and an entry
+    # whose row is empty keeps its value.  Each row is summed in column
+    # order from its first nonzero term by explicit additions (not sum(),
+    # which newer Pythons compensate), as numpy's 4x4 mat-vec rounds, so
+    # 2x2 trajectories are bit-identical to numpy mat-vecs of the dense
+    # generator (an exact-zero term leaves a sum unchanged).  numpy's 16x16
+    # mat-vec goes through BLAS, which rounds differently: 4x4 states differ
+    # from it by at most about 4e-16.  The stages stay separate (one
+    # collapsed step matrix shifts the round-off), and each step goes into
+    # the preallocated array: at MAX_STEPS a list of Python complex objects
+    # would hold several times its 256 MB.
     dim = rho0.size
     basis = np.eye(dim, dtype=complex).reshape((dim,) + rho0.shape)
-    gen = np.ascontiguousarray(rhs(basis).reshape(dim, dim).T)
+    gen = rhs(basis).reshape(dim, dim).T.tolist()
+    live = [i for i, row in enumerate(gen) if any(row)]
+    rows = []
+    for i in live:
+        (j0, v0), *rest = [(j, v) for j, v in enumerate(gen[i]) if v]
+        rows.append((j0, v0, rest))
+
+    def apply(x):
+        out = []
+        for j0, v0, rest in rows:
+            acc = v0 * x[j0]
+            for j, v in rest:
+                acc += v * x[j]
+            out.append(acc)
+        return out
+
     n = int(round(cfg.t_max / cfg.step))
     h = cfg.step
+    half, sixth = 0.5 * h, h / 6.0
     states = np.empty((n + 1, dim), dtype=complex)
-    y = states[0] = rho0.reshape(-1)
-    for k in range(n):
-        k1 = gen @ y
-        k2 = gen @ (y + (0.5 * h) * k1)
-        k3 = gen @ (y + (0.5 * h) * k2)
-        k4 = gen @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[k + 1] = y
+    y = rho0.reshape(-1).tolist()
+    states[0] = y
+    x = y[:]  # stage input; the entries outside `live` never change
+    for k in range(1, n + 1):
+        k1 = apply(y)
+        for i, d in zip(live, k1):
+            x[i] = y[i] + half * d
+        k2 = apply(x)
+        for i, d in zip(live, k2):
+            x[i] = y[i] + half * d
+        k3 = apply(x)
+        for i, d in zip(live, k3):
+            x[i] = y[i] + h * d
+        k4 = apply(x)
+        for i, d1, d2, d3, d4 in zip(live, k1, k2, k3, k4):
+            y[i] = y[i] + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        states[k] = y
     return Trajectory(h * np.arange(n + 1), states.reshape((n + 1,) + rho0.shape))
 
 

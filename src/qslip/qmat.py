@@ -9,10 +9,17 @@ closed-form spectra elsewhere in the package are checked against genuinely
 independent numerics.  The Hermiticity check, the symmetrization and the
 Jacobi rotations run on Python complex scalars in nested lists: at 4x4 the
 per-call overhead of numpy row and column slices costs far more than the
-arithmetic.  ``hermitian_eigenvalues`` skips the eigenvector accumulation
-that ``hermitian_eig`` does, and a non-finite input entry raises
-``ValueError``.  General n x n problems, sparse storage and extended
-precision are out of scope; every matrix here is tiny and dense with
+arithmetic.  The oracles feed X-shaped matrices (two decoupled 2x2
+blocks), half of whose entries are exact zeros, so the loops skip them:
+zero pivots, row and column pairs that are both zero (a rotation maps
+them to zeros), zero residual terms and zero symmetrization pairs.
+Eigenvalues and eigenvectors stay bit-identical to the full loops; a
+dense input pays a little for the extra zero tests.  NaN and inf are
+truthy, so a non-finite entry facing a zero still reaches the
+Hermiticity check.  ``hermitian_eigenvalues`` skips the eigenvector
+accumulation that ``hermitian_eig`` does, and a non-finite input entry
+raises ``ValueError``.  General n x n problems, sparse storage and
+extended precision are out of scope; every matrix here is tiny with
 entries of order one.
 """
 
@@ -59,6 +66,9 @@ def _hermitian_rows(m: np.ndarray, tol: float) -> list:
     for row, col in zip(rows, zip(*rows)):
         out = []
         for x, y in zip(row, col):
+            if not (x or y):  # NaN and inf are truthy, so they reach the check
+                out.append(0j)
+                continue
             y = y.conjugate()
             if not abs(x - y) <= tol:
                 defect = hermiticity_defect(m)  # the largest, for the message
@@ -80,7 +90,7 @@ def _jacobi(a: list, vt: list | None):
     n = len(a)
     off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        residual = math.hypot(*[abs(a[i][j]) for i, j in off_diagonal])
+        residual = math.hypot(*[abs(a[i][j]) for i, j in off_diagonal if a[i][j]])
         if residual <= JACOBI_OFF_TOL:
             break
         if sweep == JACOBI_MAX_SWEEPS:
@@ -107,17 +117,23 @@ def _jacobi(a: list, vt: list | None):
                 # U[q,p]=-s*conj(phase); then rows: A <- U^dagger A.
                 for row in a:
                     x, y = row[p], row[q]
+                    if not (x or y):
+                        continue
                     row[p] = c * x - s_conj * y
                     row[q] = s_phase * x + c * y
                 row_p, row_q = a[p], a[q]
                 for j in range(n):
                     x, y = row_p[j], row_q[j]
+                    if not (x or y):
+                        continue
                     row_p[j] = c * x - s_phase * y
                     row_q[j] = s_conj * x + c * y
                 if vt is not None:
                     vec_p, vec_q = vt[p], vt[q]
                     for j in range(n):
                         x, y = vec_p[j], vec_q[j]
+                        if not (x or y):
+                            continue
                         vec_p[j] = c * x - s_conj * y
                         vec_q[j] = s_phase * x + c * y
     order = sorted(range(n), key=lambda i: -a[i][i].real)  # stable, descending

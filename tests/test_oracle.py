@@ -146,6 +146,61 @@ def test_rk4_order_of_convergence_4x4_long_horizon():
     assert 15.0 <= ratio <= 17.0
 
 
+# Final state of integrate_master_2x2 at (0.1, 0.9) from R_+ = (1, 1, 0)/sqrt(2),
+# step 1e-3 to t = 0.5, as float.hex (real, imag) pairs, taken from the numpy
+# stage loop that the scalar stepper replaced.  Python complex arithmetic has
+# no BLAS or FMA path, so these bits hold on every platform.
+_PINNED_2X2_FINAL = (
+    ("0x1.0000000000000p-1", "0x0.0p+0"),
+    ("-0x1.31ef699047df8p-2", "-0x1.48afa7ee63006p-2"),
+    ("-0x1.31ef699047df8p-2", "0x1.48afa7ee63006p-2"),
+    ("0x1.0000000000000p-1", "0x0.0p+0"),
+)
+
+
+def test_2x2_stepper_bits_are_pinned():
+    r0 = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
+    traj = integrate_master_2x2(ModelParams(0.1, 0.9), r0.to_density_matrix(),
+                                IntegratorConfig(step=1e-3, t_max=0.5))
+    final = [(z.real.hex(), z.imag.hex()) for z in traj.states[-1].ravel().tolist()]
+    assert final == list(_PINNED_2X2_FINAL)
+
+
+def numpy_stage_loop_4x4(p, rho0, cfg):
+    """Reference RK4: the dense 16x16 generator, built from the amplified
+    right-hand side, stepped by numpy mat-vecs in the same stage form."""
+    s1, s2, s3 = (np.kron(s, qmat.IDENTITY_2) for s in (qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3))
+
+    def rhs(rho):
+        return ((-1j * p.omega) * (s3 @ rho - rho @ s3) + p.a * (s3 @ rho @ s3 - rho)
+                - p.b * (s1 @ rho @ s2 + s2 @ rho @ s1))
+
+    gen = np.ascontiguousarray(rhs(np.eye(16, dtype=complex).reshape(16, 4, 4)).reshape(16, 16).T)
+    h = cfg.step
+    y = np.asarray(rho0, dtype=complex).reshape(-1)
+    states = [y]
+    for _ in range(int(round(cfg.t_max / h))):
+        k1 = gen @ y
+        k2 = gen @ (y + (0.5 * h) * k1)
+        k3 = gen @ (y + (0.5 * h) * k2)
+        k4 = gen @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states).reshape(-1, 4, 4)
+
+
+def test_4x4_stepper_matches_numpy_stage_loop():
+    # The scalar stepper sums each row in column order; the 16x16 numpy
+    # mat-vec may round differently (BLAS), so the two agree to 1e-15.
+    rng = np.random.default_rng(31)
+    points = [ModelParams(0.0, 0.7, 1.2), random_model_params(rng), random_model_params(rng)]
+    cfg = IntegratorConfig(step=1e-3, t_max=0.4)
+    for p in points:
+        rho0 = isotropic(rng.uniform(0.0, 1.0))
+        traj = integrate_master_4x4(p, rho0, cfg)
+        assert np.abs(traj.states - numpy_stage_loop_4x4(p, rho0, cfg)).max() <= 1e-15, p
+
+
 def test_4x4_product_state_evolves_first_factor_only():
     # Checks the vectorization layout: rho (x) sigma must follow rho(t) (x) sigma.
     p = ModelParams(0.3, 0.8)

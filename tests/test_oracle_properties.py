@@ -9,7 +9,8 @@ b/omega from 1e-12 to 1 - 1e-12, and large a*t where exp(-2at) underflows.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslip import (
@@ -77,13 +78,28 @@ def test_evolved_state_is_exactly_hermitian_with_unit_trace(p, mu, t):
     assert abs(np.trace(m) - 1.0) <= 1e-15
 
 
+# Wootters' square roots amplify the round-off of a zero eigenvalue, so at
+# the rank-deficient bound mu = 1/R4 itself the oracle agrees only to about
+# 1e-9.  As in `verify`, mu stays at or below 0.999/R4; the b -> 0 edge,
+# where R4 -> 1 and the state at the bound is nearly pure, is kept as an
+# explicit example, and the bound itself is the xfail below.
 @_PROPERTY_SETTINGS
-@given(_params(), st.floats(0.0, 1.0), st.lists(_TIMES, min_size=1, max_size=4))
+@given(_params(), st.floats(0.0, 0.999), st.lists(_TIMES, min_size=1, max_size=4))
+@example(ModelParams(1.0, 1e-12, 1.0), 0.999, [0.0])
 def test_wootters_matches_closed_form_inside_bound(p, mu_fraction, times):
     mu = mu_fraction * positivity_bound(p)
     for t in times:
         closed = concurrence_closed_form(p, mu, t)
         assert abs(concurrence_wootters(evolve_isotropic(p, mu, t)) - closed) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, reason="known limit: at the rank-deficient bound mu = 1/R4 "
+                   "Wootters agrees with the closed form only to about 1e-9")
+def test_wootters_at_the_rank_deficient_bound():
+    p = ModelParams(1.0, 1e-12, 1.0)
+    mu = positivity_bound(p)
+    closed = concurrence_closed_form(p, mu, 0.0)
+    assert abs(concurrence_wootters(evolve_isotropic(p, mu, 0.0)) - closed) <= 1e-10
 
 
 @_PROPERTY_SETTINGS

@@ -98,10 +98,17 @@ def test_infinite_entry_rejected():
 
 
 def test_nan_matrix_rejected():
-    m = np.full((4, 4), np.nan)
-    for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
-        with pytest.raises(ValueError, match="not Hermitian: defect nan"):
-            solve(m)
+    # The solver skips exact-zero pairs, but NaN is truthy: a NaN whose
+    # mirror entry is 0 must still reach the Hermiticity check.
+    cases = [np.full((4, 4), np.nan)]
+    for i, j in ((0, 2), (2, 0)):
+        m = np.eye(4, dtype=complex)
+        m[i, j] = np.nan
+        cases.append(m)
+    for m in cases:
+        for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
+            with pytest.raises(ValueError, match="not Hermitian: defect nan"):
+                solve(m)
 
 
 def test_partial_transpose_diagonal_fixed_point():
