@@ -62,6 +62,8 @@ ARRAY = SimpleNamespace(
 
 def time_kernel(t):
     """``(t, ops)``: a scalar t as a Python float with ``SCALAR``, else a float array with ``ARRAY``."""
+    if type(t) is float:
+        return t, SCALAR
     if isinstance(t, (float, int)):
         return float(t), SCALAR
     return np.asarray(t, dtype=float), ARRAY

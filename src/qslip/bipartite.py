@@ -42,7 +42,8 @@ SEPARABLE_MU = 1.0 / 3.0
 # Cap on the periods pi/(2 Omega) one window scan may span (windows recur at a = 0).
 MAX_WINDOW_PERIODS = 10**6
 
-_SYSY = np.kron(qmat.PAULI_2, qmat.PAULI_2)
+# (s2 x s2) M (s2 x s2) is M with both indices reversed, times these signs.
+_FLIP_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
 
 def symmetric_projector() -> np.ndarray:
@@ -79,11 +80,11 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     s = k.sin(2.0 * big_omega * t)
     outer = 2.0 * mu * (decay * (k.cos(2.0 * big_omega * t) - 1j * (p.omega / big_omega) * s))
     inner = 2.0 * mu * (1j * (p.b / big_omega) * decay * s)
-    plus, minus = 1.0 + mu, 1.0 - mu
-    m = np.array([[plus, 0.0, 0.0, outer], [0.0, minus, inner, 0.0],
-                  [0.0, inner.conjugate(), minus, 0.0], [outer.conjugate(), 0.0, 0.0, plus]],
-                 dtype=complex)
-    return m / 4.0
+    # Divided entry by entry as numpy's m / 4.0 would divide them.
+    plus, minus = (1.0 + mu) / 4.0, (1.0 - mu) / 4.0
+    return np.array([plus, 0.0, 0.0, outer / 4.0, 0.0, minus, inner / 4.0, 0.0,
+                     0.0, inner.conjugate() / 4.0, minus, 0.0,
+                     outer.conjugate() / 4.0, 0.0, 0.0, plus], dtype=complex).reshape(4, 4)
 
 
 def _spectrum_entries(p: ModelParams, t, k):
@@ -167,7 +168,7 @@ def concurrence_wootters(rho) -> float:
     if w[-1] < qmat.STATE_EIG_FLOOR:
         raise ValueError(f"input has negative eigenvalue {w[-1]:.3e}: not a state")
     sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ qmat.dagger(v)
-    rho_tilde = _SYSY @ np.conj(rho) @ _SYSY
+    rho_tilde = _FLIP_SIGNS * np.conj(rho[::-1, ::-1])
     # hermitian_eigenvalues symmetrizes the round-off of the product itself.
     product = sqrt_rho @ rho_tilde @ sqrt_rho
     lams = np.sqrt(np.maximum(qmat.hermitian_eigenvalues(product), 0.0))

@@ -111,14 +111,23 @@ def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     # collapsed step matrix shifts the round-off), and each step goes into
     # the preallocated array: at MAX_STEPS a list of Python complex objects
     # would hold several times its 256 MB.
+    # Only rows that the initial state's nonzero entries reach through the
+    # generator's nonzero pattern are stepped: any other entry starts at an
+    # exact zero, to which its stages would only add zeros, and +0.0 plus a
+    # zero of either sign is +0.0 (a -0.0 part could flip, so only an entry
+    # that prints as 0j counts as zero).  Stage scalars are complex, as
+    # Python would promote them on every multiply, and 2 d is d + d.
     dim = rho0.size
     basis = np.eye(dim, dtype=complex).reshape((dim,) + rho0.shape)
-    gen = rhs(basis).reshape(dim, dim).T.tolist()
-    live = [i for i, row in enumerate(gen) if any(row)]
-    rows = []
-    for i in live:
-        (j0, v0), *rest = [(j, v) for j, v in enumerate(gen[i]) if v]
-        rows.append((j0, v0, rest))
+    gen = [[(j, v) for j, v in enumerate(row) if v]
+           for row in rhs(basis).reshape(dim, dim).T.tolist()]
+    y = rho0.reshape(-1).tolist()
+    reach, grown = None, {j for j, v in enumerate(y) if v or str(v) != "0j"}
+    while grown != reach:
+        reach = grown
+        grown = reach | {i for i, row in enumerate(gen) for j, _ in row if j in reach}
+    live = [i for i in sorted(reach) if gen[i]]
+    rows = [(*gen[i][0], gen[i][1:]) for i in live]
 
     def apply(x):
         out = []
@@ -130,10 +139,8 @@ def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
         return out
 
     n = int(round(cfg.t_max / cfg.step))
-    h = cfg.step
-    half, sixth = 0.5 * h, h / 6.0
+    h, half, sixth = complex(cfg.step), complex(0.5 * cfg.step), complex(cfg.step / 6.0)
     states = np.empty((n + 1, dim), dtype=complex)
-    y = rho0.reshape(-1).tolist()
     states[0] = y
     x = y[:]  # stage input; the entries outside `live` never change
     for k in range(1, n + 1):
@@ -148,9 +155,9 @@ def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
             x[i] = y[i] + h * d
         k4 = apply(x)
         for i, d1, d2, d3, d4 in zip(live, k1, k2, k3, k4):
-            y[i] = y[i] + sixth * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+            y[i] = y[i] + sixth * (d1 + (d2 + d2) + (d3 + d3) + d4)
         states[k] = y
-    return Trajectory(h * np.arange(n + 1), states.reshape((n + 1,) + rho0.shape))
+    return Trajectory(cfg.step * np.arange(n + 1), states.reshape((n + 1,) + rho0.shape))
 
 
 def _integrate(p: ModelParams, rho0, cfg: IntegratorConfig, s1, s2, s3) -> Trajectory:
@@ -190,9 +197,8 @@ def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float, tol:
         raise ValueError(f"need t_lo < t_hi, got {t_lo} >= {t_hi}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-    grid = np.linspace(t_lo, t_hi, _COARSE_POINTS)
-    values = np.array([fn(t) for t in grid])
-    best = int(np.argmax(values))
+    grid = np.linspace(t_lo, t_hi, _COARSE_POINTS).tolist()  # Python floats, as fn prefers
+    best = int(np.argmax([fn(t) for t in grid]))
     lo = grid[best - 1] if best > 0 else grid[0]
     hi = grid[best + 1] if best < len(grid) - 1 else grid[-1]
     while hi - lo > tol:

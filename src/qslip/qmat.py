@@ -13,8 +13,12 @@ arithmetic.  The oracles feed X-shaped matrices (two decoupled 2x2
 blocks), half of whose entries are exact zeros, so the loops skip them:
 zero pivots, row and column pairs that are both zero (a rotation maps
 them to zeros), zero residual terms and zero symmetrization pairs.
-Eigenvalues and eigenvectors stay bit-identical to the full loops; a
-dense input pays a little for the extra zero tests.  NaN and inf are
+The check visits each (i, j), (j, i) pair once, taking one defect and
+both symmetrized halves from the inputs (conjugating one half could flip
+a zero's sign), and the rotation cosine is held as a complex number, as
+Python would promote it on every multiply.  Eigenvalues and eigenvectors
+stay bit-identical to the full loops; a dense input pays a little for
+the extra zero tests.  NaN and inf are
 truthy, so a non-finite entry facing a zero still reaches the
 Hermiticity check.  ``hermitian_eigenvalues`` skips the eigenvector
 accumulation that ``hermitian_eig`` does, and a non-finite input entry
@@ -26,6 +30,7 @@ entries of order one.
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 
@@ -62,19 +67,18 @@ def _hermitian_rows(m: np.ndarray, tol: float) -> list:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     rows = m.tolist()
-    sym = []
-    for row, col in zip(rows, zip(*rows)):
-        out = []
-        for x, y in zip(row, col):
+    sym = [[0j] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row[i:], i):
+            y = rows[j][i]
             if not (x or y):  # NaN and inf are truthy, so they reach the check
-                out.append(0j)
                 continue
-            y = y.conjugate()
-            if not abs(x - y) <= tol:
+            y_conj = y.conjugate()
+            if not abs(x - y_conj) <= tol:
                 defect = hermiticity_defect(m)  # the largest, for the message
                 raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
-            out.append(0.5 * (x + y))
-        sym.append(out)
+            sym[i][j] = 0.5 * (x + y_conj)
+            sym[j][i] = 0.5 * (y + x.conjugate())
     return sym
 
 
@@ -88,9 +92,9 @@ def _jacobi(a: list, vt: list | None):
     ``RuntimeError`` when that budget runs out.  Returns the eigenvalues,
     sorted descending, and their positions on the diagonal."""
     n = len(a)
-    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        residual = math.hypot(*[abs(a[i][j]) for i, j in off_diagonal if a[i][j]])
+        # Off-diagonal pairs in row-major order, as the residual always summed them.
+        residual = math.hypot(*[abs(a[i][j]) for i, j in permutations(range(n), 2) if a[i][j]])
         if residual <= JACOBI_OFF_TOL:
             break
         if sweep == JACOBI_MAX_SWEEPS:
@@ -106,13 +110,14 @@ def _jacobi(a: list, vt: list | None):
                     continue
                 phase = apq / mag
                 # Real rotation angle for the phase-stripped 2x2 block.
-                tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
+                tau = (a[q][q].real - a[p][p].real) / (mag + mag)
                 sign = 1.0 if tau >= 0.0 else -1.0
                 t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 s_phase = s * phase
                 s_conj = s * phase.conjugate()
+                c = complex(c)
                 # Columns: A <- A U with U[p,p]=U[q,q]=c, U[p,q]=s*phase,
                 # U[q,p]=-s*conj(phase); then rows: A <- U^dagger A.
                 for row in a:
@@ -136,8 +141,9 @@ def _jacobi(a: list, vt: list | None):
                             continue
                         vec_p[j] = c * x - s_conj * y
                         vec_q[j] = s_phase * x + c * y
-    order = sorted(range(n), key=lambda i: -a[i][i].real)  # stable, descending
-    return np.array([a[i][i].real for i in order]), order
+    diagonal = [row[i].real for i, row in enumerate(a)]
+    order = sorted(range(n), key=diagonal.__getitem__, reverse=True)  # stable
+    return np.array([diagonal[i] for i in order]), order
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):

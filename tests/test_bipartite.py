@@ -256,6 +256,19 @@ def test_wootters_rejects_non_states():
         concurrence_wootters(negative)  # eigenvalue -1/2
 
 
+# Wootters at (a, b) = (0.1, 0.9), mu = 0.999/R4, t = 1.3, as float.hex, taken
+# from the path that formed rho_tilde by two matmuls with s2 x s2 rather than
+# the signed index flip.  The value passes through numpy's exp and its 4x4
+# matmul, so the pin holds for one numpy build.
+_PINNED_WOOTTERS = "0x1.41231818fa5ccp-5"
+
+
+def test_wootters_bits_are_pinned():
+    p = ModelParams(0.1, 0.9)
+    state = evolve_isotropic(p, 0.999 * positivity_bound(p), 1.3)
+    assert concurrence_wootters(state).hex() == _PINNED_WOOTTERS
+
+
 def test_concurrence_closed_form_matches_wootters_on_grid():
     p = ModelParams(0.1, 0.8)
     mu = 0.25

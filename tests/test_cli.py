@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qslip import cli
 
@@ -159,6 +160,15 @@ def test_bounds_and_verify_terminate_near_b_equal_omega():
                    "--step", "1e-3", timeout=60)
     assert proc.returncode in (0, 1), proc.stderr
     assert "maxima_vs_golden_section" in proc.stdout
+
+
+@pytest.mark.xfail(strict=True, reason="known limit: maxima_vs_golden_section compares the peak "
+                   "times t' and t* near 5.6e5 with an absolute 1e-6, but a smooth peak's "
+                   "position is fixed by its values only to about sqrt(eps) times the time "
+                   "scale, so it reads max_dev=3.725e-03")
+def test_verify_passes_near_b_equal_omega(capsys):
+    argv = ["verify", "--a", "0", "--b", "0.999999999999", "--t-max", "0.5", "--step", "1e-3"]
+    assert cli.main(argv) == 0, capsys.readouterr().out
 
 
 def test_bounds_figure_point():

@@ -201,6 +201,31 @@ def test_4x4_stepper_matches_numpy_stage_loop():
         assert np.abs(traj.states - numpy_stage_loop_4x4(p, rho0, cfg)).max() <= 1e-15, p
 
 
+def test_stepper_steps_only_entries_reachable_from_the_initial_state():
+    p = ModelParams(0.1, 0.9)
+    cfg = IntegratorConfig(step=1e-3, t_max=0.4)
+    # Isotropic start: the generator couples each entry that is off-diagonal
+    # in the bath qubit only to itself and its bath-flipped partner, so the
+    # corners never reach (0,2), (2,0), (1,3) or (3,1): they stay exactly
+    # +0.0 (all-zero bytes) at every step.
+    rho0 = isotropic(0.6)
+    traj = integrate_master_4x4(p, rho0, cfg)
+    unreached = traj.states[:, [0, 2, 1, 3], [2, 0, 3, 1]]
+    assert unreached.tobytes() == bytes(unreached.nbytes)
+    assert np.abs(traj.states - numpy_stage_loop_4x4(p, rho0, cfg)).max() <= 1e-15
+    # A dense start reaches every entry.
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    dense = g @ g.conj().T
+    dense = 0.5 * (dense + dense.conj().T) / np.trace(dense).real
+    traj = integrate_master_4x4(p, dense, cfg)
+    assert np.abs(traj.states - numpy_stage_loop_4x4(p, dense, cfg)).max() <= 1e-15
+    # A pole has no coherence to step: its trajectory is constant.
+    pole = BlochVector(0.0, 0.0, 1.0).to_density_matrix()
+    states = integrate_master_2x2(p, pole, cfg).states
+    assert states.tobytes() == np.broadcast_to(pole, states.shape).tobytes()
+
+
 def test_4x4_product_state_evolves_first_factor_only():
     # Checks the vectorization layout: rho (x) sigma must follow rho(t) (x) sigma.
     p = ModelParams(0.3, 0.8)

@@ -131,3 +131,67 @@ def test_partial_transpose_involution_trace_hermiticity():
         assert np.abs(qmat.partial_transpose_first(pt) - m).max() == 0.0
         assert abs(np.trace(pt) - np.trace(m)) <= 1e-14
         assert qmat.hermiticity_defect(pt) <= 1e-14
+
+
+# hermitian_eig and hermitian_eigenvalues on one evolved isotropic state and
+# one seeded dense Hermitian 4x4, as float.hex, taken from the Jacobi before
+# its pair-once symmetrization, its complex rotation cosine and its key-list
+# sort.  The Jacobi runs on Python scalars, so these bits hold wherever the
+# input does: the dense input is plain arithmetic, while the evolved state's
+# decay factor comes from numpy's exp.
+_PINNED_EVOLVED_W = (
+    '0x1.0dd5f2e0e3d12p-1', '0x1.5133b625efb22p-2',
+    '0x1.f7b6cf5f47dccp-4', '0x1.532b04076b427p-6',
+)
+_PINNED_EVOLVED_V = (  # (real, imag) of each entry, row by row
+    ('0x1.7f066452205dep-2', '-0x1.333cd6148e50fp-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '0x1.6a09e667f3bccp-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '0x1.6a09e667f3bccp-1'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('-0x1.7f066452205dep-2', '-0x1.333cd6148e50fp-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+)
+_PINNED_DENSE_W = (
+    '0x1.7a9c59064a53dp+1', '0x1.9d2893788f38ep+0',
+    '-0x1.a212a723f6707p-1', '-0x1.3539efa9e8a5dp+0',
+)
+_PINNED_DENSE_V = (  # (real, imag) of each entry, row by row
+    ('0x1.6c4cf9d6bbebfp-1', '0x1.17116937a2712p-5'),
+    ('0x1.7cd590c09959bp-6', '0x1.a5e12fc4579c9p-6'),
+    ('-0x1.16d0a062c77a3p-1', '-0x1.819eea65daa80p-4'),
+    ('-0x1.93a28d5906d20p-2', '-0x1.662b19d81daffp-3'),
+    ('0x1.01b425c32f566p-5', '0x1.bf264f73ae56bp-3'),
+    ('0x1.20647564e0f55p-1', '0x1.b7a8b7cf8b61bp-3'),
+    ('0x1.1f07e1b964980p-2', '-0x1.a260d58fd8cc3p-3'),
+    ('-0x1.c8636781d0106p-2', '0x1.0991ef1216ff8p-1'),
+    ('0x1.004f2d60c9b24p-1', '0x1.37de10397683cp-3'),
+    ('0x1.cfeca6e3ff5a4p-3', '0x1.a0a66677a98a0p-2'),
+    ('0x1.0d00388100c6bp-2', '0x1.ab3f821e9585ap-2'),
+    ('0x1.07303ff61ac0cp-1', '-0x1.6ef6cefa500d9p-5'),
+    ('-0x1.9f0a4f2e585b2p-2', '0x1.3907c4cbbd97bp-4'),
+    ('0x1.4a29ea0a2bfeep-1', '0x1.acc2540b539fbp-5'),
+    ('-0x1.0e26711a56950p-1', '0x1.d690164eed561p-3'),
+    ('0x1.b56419e567b10p-4', '-0x1.0c6bc7ddb830dp-2'),
+)
+
+
+def test_jacobi_bits_are_pinned():
+    cases = (
+        (evolve_isotropic(ModelParams(0.1, 0.9), 0.3, 0.7), _PINNED_EVOLVED_W, _PINNED_EVOLVED_V),
+        (random_hermitian(np.random.default_rng(2024), 4), _PINNED_DENSE_W, _PINNED_DENSE_V),
+    )
+    for m, pinned_w, pinned_v in cases:
+        w, v = qmat.hermitian_eig(m)
+        assert [x.hex() for x in w.tolist()] == list(pinned_w)
+        assert [x.hex() for x in qmat.hermitian_eigenvalues(m).tolist()] == list(pinned_w)
+        assert [(z.real.hex(), z.imag.hex()) for z in v.ravel().tolist()] == list(pinned_v)
