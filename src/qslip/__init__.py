@@ -25,7 +25,6 @@ from .bipartite import (
     r4_curve,
     r4_max,
     rate_factor_max,
-    symmetric_projector,
     window_functions,
 )
 from .oracle import (
@@ -46,9 +45,7 @@ from .semigroup import (
     bloch_trajectory,
     classify,
     derive_params,
-    exit_rate,
     generator,
-    generator_split,
     norm_bound_curve,
     norm_bound_max,
     propagate,
@@ -56,13 +53,9 @@ from .semigroup import (
 from .slippage import (
     CPReport,
     SlippageChannel,
-    apply_slippage,
     choi_matrix,
     compose_actions,
-    identity_action,
     is_completely_positive,
-    kraus_apply,
-    kraus_operators,
     semigroup_action,
     slippage_action,
 )
@@ -80,7 +73,6 @@ __all__ = [
     "StochasticFieldParams",
     "Trajectory",
     "WindowReport",
-    "apply_slippage",
     "bloch_propagator",
     "bloch_trajectory",
     "can_create_entanglement",
@@ -95,16 +87,11 @@ __all__ = [
     "detect_windows",
     "eigenvalues_closed_form",
     "evolve_isotropic",
-    "exit_rate",
     "generator",
-    "generator_split",
-    "identity_action",
     "integrate_master_2x2",
     "integrate_master_4x4",
     "is_completely_positive",
     "isotropic",
-    "kraus_apply",
-    "kraus_operators",
     "maximize_scalar",
     "norm_bound_curve",
     "norm_bound_max",
@@ -118,6 +105,5 @@ __all__ = [
     "rate_factor_product_form",
     "semigroup_action",
     "slippage_action",
-    "symmetric_projector",
     "window_functions",
 ]

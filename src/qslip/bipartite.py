@@ -46,11 +46,6 @@ MAX_WINDOW_PERIODS = 10**6
 _FLIP_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
 
-def symmetric_projector() -> np.ndarray:
-    """The maximally entangled projector (1x1 + s1xs1 - s2xs2 + s3xs3)/4."""
-    return isotropic(1.0)
-
-
 def isotropic(mu: float) -> np.ndarray:
     """Isotropic 4x4 state (1-mu)/4 * identity + mu * projector.
 

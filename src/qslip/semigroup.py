@@ -115,7 +115,7 @@ class BlochVector:
 
     Components must be finite, but the norm is not bounded: the dynamics
     studied here can push vectors outside the unit ball, and representing
-    that is the whole point.  Call ``require_state`` where a state is needed.
+    that is the whole point.
     """
 
     r1: float
@@ -129,20 +129,11 @@ class BlochVector:
         if not (math.isfinite(self.r1) and math.isfinite(self.r2) and math.isfinite(self.r3)):
             raise ValueError("Bloch vector components must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r1, self.r2, self.r3])
-
     def norm_squared(self) -> float:
         return self.r1 * self.r1 + self.r2 * self.r2 + self.r3 * self.r3
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
-
-    def require_state(self, tol: float = 1e-12) -> "BlochVector":
-        """Raise unless the vector lies in the closed unit ball (within tol)."""
-        if self.norm() > 1.0 + tol:
-            raise ValueError(f"Bloch vector of norm {self.norm():.12g} is not a state")
-        return self
 
     @classmethod
     def from_density_matrix(cls, rho) -> "BlochVector":
@@ -244,13 +235,6 @@ def generator(p: ModelParams) -> np.ndarray:
     )
 
 
-def generator_split(p: ModelParams):
-    """Antisymmetric (Hamiltonian) and symmetric (dissipative) parts of L."""
-    h = np.array([[0.0, p.omega, 0.0], [-p.omega, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    d = np.array([[p.a, p.b, 0.0], [p.b, p.a, 0.0], [0.0, 0.0, 0.0]])
-    return h, d
-
-
 def classify(p, b: float | None = None, omega: float = 1.0) -> Classification:
     """Positivity class from (a, b): CP iff b = 0, positive iff a^2 >= b^2.
 
@@ -310,16 +294,6 @@ def bloch_trajectory(p: ModelParams, r: BlochVector, times) -> np.ndarray:
     return np.stack([r1, r2, np.full_like(r1, r.r3)], axis=-1)
 
 
-def exit_rate(p: ModelParams, r: BlochVector) -> float:
-    """Quadratic form -2 <r|D|r> = -2a (r1^2 + r2^2) - 4b r1 r2.
-
-    Its sign is the sign of d||r_t||^2/dt (the full derivative is twice
-    this value); a positive rate on the unit sphere means the vector is
-    leaving the Bloch ball.
-    """
-    return -2.0 * p.a * (r.r1 * r.r1 + r.r2 * r.r2) - 4.0 * p.b * r.r1 * r.r2
-
-
 def norm_bound_curve(p: ModelParams, t):
     """Squared peak Bloch radius R^2(t) reachable from the unit ball at time t.
 
@@ -346,9 +320,12 @@ def norm_bound_max(p: ModelParams):
         t' = (1 / 2 Omega) arcsin( (Omega/b) sqrt((b^2 - a^2)/(Omega^2 + a^2)) )
            = (1 / 2 Omega) atan2(Omega sqrt(b^2 - a^2), a omega)
 
-    (the atan2 form keeps the digits that arcsin loses near 1) and R > 1 is
-    guaranteed.  Positive maps never leave the ball, so for a^2 >= b^2 the
-    pair (1.0, 0.0) is returned.
+    (the atan2 form keeps the digits that arcsin loses near 1).  R > 1
+    exactly, but the float R is good to a few ulps, so near a = b, where
+    R - 1 ~ (b^2 - a^2)^(3/2) hyp^2 / (3 a^2 omega^3), R - 1 keeps a relative
+    accuracy of only about eps / (R - 1); R is clamped at R(0) = 1, a lower
+    bound of the peak.  Positive maps never leave the ball, so for
+    a^2 >= b^2 the pair (1.0, 0.0) is returned.
     """
     if p.a * p.a >= p.b * p.b:
         return 1.0, 0.0
@@ -356,4 +333,4 @@ def norm_bound_max(p: ModelParams):
     root = math.sqrt(p.b * p.b - p.a * p.a)
     t_prime = math.atan2(big_omega * root, p.a * p.omega) / (2.0 * big_omega)
     radius = math.exp(-2.0 * p.a * t_prime) * math.sqrt((p.omega + root) / (p.omega - root))
-    return radius, t_prime
+    return max(radius, 1.0), t_prime

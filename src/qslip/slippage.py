@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qmat
 from .qmat import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
-from .semigroup import BlochVector, ModelParams, bloch_propagator
+from .semigroup import ModelParams, bloch_propagator
 
 # Choi eigenvalues above this floor count as nonnegative; genuine
 # violations at the parameter scales of interest are O(0.1).
@@ -51,43 +51,6 @@ class SlippageChannel:
         object.__setattr__(self, "mu", float(self.mu))
         if not math.isfinite(self.mu) or not (0.0 <= self.mu <= 1.0):
             raise ValueError(f"contraction strength mu must lie in [0, 1], got {self.mu}")
-
-
-def apply_slippage(channel: SlippageChannel, r: BlochVector) -> BlochVector:
-    """Contract a Bloch vector: r -> mu r."""
-    return BlochVector(channel.mu * r.r1, channel.mu * r.r2, channel.mu * r.r3)
-
-
-def kraus_operators(channel: SlippageChannel) -> list[np.ndarray]:
-    """Kraus operators: sqrt((1+3mu)/4) * 1 and sqrt((1-mu)/4) * sigma_i."""
-    w_id = math.sqrt((1.0 + 3.0 * channel.mu) / 4.0)
-    w_pauli = math.sqrt((1.0 - channel.mu) / 4.0)
-    return [w_id * IDENTITY_2, w_pauli * PAULI_1, w_pauli * PAULI_2, w_pauli * PAULI_3]
-
-
-def kraus_apply(channel: SlippageChannel, rho) -> np.ndarray:
-    """Apply the channel in Kraus form to a 2x2 state.
-
-        rho -> (1+3mu)/4 rho + (1-mu)/4 sum_i sigma_i rho sigma_i
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
-    if not qmat.hermiticity_defect(rho) <= qmat.HERMITIAN_INPUT_TOL:
-        raise ValueError("input is not Hermitian")
-    trace = np.trace(rho)
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"input must have unit trace, got {trace}")
-    r = BlochVector.from_density_matrix(rho)
-    if r.norm() > 1.0 + 1e-10:
-        raise ValueError(f"input Bloch norm {r.norm():.12g} exceeds 1: not a state")
-    pauli_sum = PAULI_1 @ rho @ PAULI_1 + PAULI_2 @ rho @ PAULI_2 + PAULI_3 @ rho @ PAULI_3
-    return (1.0 + 3.0 * channel.mu) / 4.0 * rho + (1.0 - channel.mu) / 4.0 * pauli_sum
-
-
-def identity_action() -> PauliAction:
-    """The identity map on the Pauli basis."""
-    return tuple(m.copy() for m in _PAULI_BASIS)
 
 
 def slippage_action(channel: SlippageChannel) -> PauliAction:

@@ -28,7 +28,6 @@ from qslip import (
     rate_factor_max,
     rate_factor_product_form,
     semigroup_action,
-    symmetric_projector,
     window_functions,
 )
 from qslip import bipartite, qmat
@@ -61,7 +60,7 @@ def test_isotropic_standard_form():
     rng = np.random.default_rng(3)
     for mu in rng.uniform(0.0, 1.0, size=10):
         direct = isotropic(mu)
-        standard = (1.0 - mu) / 4.0 * np.eye(4) + mu * symmetric_projector()
+        standard = (1.0 - mu) / 4.0 * np.eye(4) + mu * isotropic(1.0)
         assert np.abs(direct - standard).max() <= 1e-15
 
 
@@ -237,7 +236,7 @@ def test_isotropic_state_invariants_under_bound():
 # ---------------------------------------------------------------- concurrence
 
 def test_wootters_reference_states():
-    assert abs(concurrence_wootters(symmetric_projector()) - 1.0) <= 1e-10
+    assert abs(concurrence_wootters(isotropic(1.0)) - 1.0) <= 1e-10
     assert concurrence_wootters(np.eye(4) / 4.0) == 0.0
     for mu in np.linspace(0.0, 1.0, 11):
         expected = max(0.0, (3.0 * mu - 1.0) / 2.0)
@@ -251,7 +250,7 @@ def test_wootters_rejects_non_states():
     bad[0, 1] = 0.3
     with pytest.raises(ValueError):
         concurrence_wootters(bad)  # not Hermitian
-    negative = qmat.partial_transpose_first(symmetric_projector())
+    negative = qmat.partial_transpose_first(isotropic(1.0))
     with pytest.raises(ValueError):
         concurrence_wootters(negative)  # eigenvalue -1/2
 
