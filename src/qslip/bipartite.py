@@ -209,12 +209,13 @@ def concurrence_curve(p: ModelParams, mu: float, t):
 
 
 def _g_max(p: ModelParams) -> float:
-    """Peak b^2 / (2 (hyp + a)) - a of G, -a at b = 0, taken without cancellation
-    near the creation threshold b^2 = 2 a omega as (b^2 - 2 a omega)(b^2 + 2 a omega)
-    / (2 (hyp + a)(b^2 - 2 a^2 + 2 a hyp)); the last factor is >= b^2 > 0."""
-    if p.b == 0.0:
-        return -p.a
+    """Peak b^2 / (2 (hyp + a)) - a of G, taken without cancellation near the
+    creation threshold b^2 = 2 a omega as (b^2 - 2 a omega)(b^2 + 2 a omega)
+    / (2 (hyp + a)(b^2 - 2 a^2 + 2 a hyp)); the last factor is >= b^2 > 0.  It is
+    -a where b^2 rounds to 0 (b = 0, or b below about 1.5e-162)."""
     a, b2, hyp, two_a_omega = p.a, p.b * p.b, p.hyp, 2.0 * p.a * p.omega
+    if b2 == 0.0:
+        return -a
     return ((b2 - two_a_omega) * (b2 + two_a_omega)
             / (2.0 * (hyp + a) * (b2 - 2.0 * a * a + 2.0 * a * hyp)))
 

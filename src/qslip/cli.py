@@ -129,7 +129,7 @@ def _emit_table(args, header: list[str], rows: list[list], report=None) -> None:
 
 
 def _cmd_classify(args, eff: dict) -> int:
-    tag = classify(eff["a"], eff["b"], eff["omega"])
+    tag = classify(ModelParams(eff["a"], eff["b"], eff["omega"]))
     payload = {
         "schema": SCHEMA_VERSION,
         "tag": tag.value,
@@ -224,8 +224,12 @@ def _cmd_evolve(args, eff: dict) -> int:
     _check_grid(eff["steps"], eff["t-max"], p.omega)
     r0 = BlochVector(eff["r1"], eff["r2"], eff["r3"])
     times = np.linspace(0.0, eff["t-max"], eff["steps"] + 1)
-    traj = bloch_trajectory(p, r0, times)
-    norms = np.sqrt((traj * traj).sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = bloch_trajectory(p, r0, times)
+        norms = np.sqrt((traj * traj).sum(axis=1))
+    if not (np.isfinite(traj).all() and np.isfinite(norms).all()):
+        raise ValueError("trajectory overflows: a Bloch component or the norm is not a finite "
+                         "float for this initial vector and these rates")
     rows = np.column_stack([times, traj, norms]).tolist()
     _emit_table(args, ["t", "r1", "r2", "r3", "norm"], rows)
     return 0

@@ -235,13 +235,8 @@ def generator(p: ModelParams) -> np.ndarray:
     )
 
 
-def classify(p, b: float | None = None, omega: float = 1.0) -> Classification:
-    """Positivity class from (a, b): CP iff b = 0, positive iff a^2 >= b^2.
-
-    ``classify(a, b, omega)`` on raw floats is ``classify(ModelParams(a, b, omega))``.
-    """
-    if not isinstance(p, ModelParams):
-        p = ModelParams(p, b, omega)
+def classify(p: ModelParams) -> Classification:
+    """Positivity class from (a, b): CP iff b = 0, positive iff a^2 >= b^2."""
     if p.b == 0.0:
         return Classification.COMPLETELY_POSITIVE
     if p.a * p.a >= p.b * p.b:

@@ -10,18 +10,19 @@ identity with the three Pauli conjugations.  Composing it with the
 (possibly non-positive) dephasing semigroup keeps every evolved state
 inside the ball once mu is small enough.
 
-Qubit maps are represented by their action on the basis {1, s1, s2, s3}
-(the smallest faithful description at this scale).  The Choi matrix of
-such an action is obtained by applying the map to the first factor of the
-maximally entangled projector; the map is completely positive exactly when
-that matrix has nonnegative spectrum.
+A qubit map M is represented by its 4x4 matrix on the Pauli basis
+(1, s1, s2, s3), with entry [j, k] = tr(s_j M(s_k)) / 2, so composing maps
+is a matrix product; every map built here is real in this basis.  The
+Choi matrix applies the map to the first factor of the maximally entangled
+projector; the map is completely positive exactly when that matrix has
+nonnegative spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,12 +34,10 @@ from .semigroup import ModelParams, bloch_propagator
 # violations at the parameter scales of interest are O(0.1).
 CP_EIG_FLOOR = -1e-10
 
-# A qubit map as its images of (identity, s1, s2, s3).
-PauliAction = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-_PAULI_BASIS = np.stack((IDENTITY_2, PAULI_1, PAULI_2, PAULI_3))
-# Second factors of the maximally entangled projector's Pauli expansion.
-_CHOI_STACK = np.stack((IDENTITY_2, PAULI_1, -PAULI_2, PAULI_3))
+# Row 4 j + k is s_j x t_k / 4 flattened; (t_k) = (1, s1, -s2, s3) are the
+# second factors of the maximally entangled projector's Pauli expansion.
+_CHOI_BASIS = np.array([np.kron(s, t).ravel() for s in (IDENTITY_2, PAULI_1, PAULI_2, PAULI_3)
+                        for t in (IDENTITY_2, PAULI_1, -PAULI_2, PAULI_3)]) / 4.0
 
 
 @dataclass(frozen=True)
@@ -53,50 +52,42 @@ class SlippageChannel:
             raise ValueError(f"contraction strength mu must lie in [0, 1], got {self.mu}")
 
 
-def slippage_action(channel: SlippageChannel) -> PauliAction:
-    """Pauli-basis action of the slippage channel: 1 -> 1, sigma_i -> mu sigma_i."""
-    return (IDENTITY_2.copy(), *(channel.mu * _PAULI_BASIS[1:]))
+def slippage_action(channel: SlippageChannel) -> np.ndarray:
+    """Pauli-basis matrix diag(1, mu, mu, mu) of the slippage channel."""
+    return np.diag([1.0, channel.mu, channel.mu, channel.mu])
 
 
-def semigroup_action(p, b: float | None = None, omega: float = 1.0) -> Callable[[float], PauliAction]:
-    """Time-indexed Pauli-basis action of the dephasing semigroup.
+def semigroup_action(p: ModelParams) -> Callable[[float], np.ndarray]:
+    """Time-indexed Pauli-basis matrix of the dephasing semigroup.
 
-    ``semigroup_action(a, b, omega)`` on raw floats is
-    ``semigroup_action(ModelParams(a, b, omega))``.  The image of sigma_i at
-    time t is sum_j G[j, i] sigma_j with G the analytic Bloch propagator.
+    At time t it is the analytic Bloch propagator ``bloch_propagator(p, t)``
+    with the identity's row and column (1, 0, 0, 0) around it.
     """
-    if not isinstance(p, ModelParams):
-        p = ModelParams(p, b, omega)
 
-    def action(t: float) -> PauliAction:
-        g = bloch_propagator(p, t)
-        return (IDENTITY_2.copy(), *np.einsum("ji,jab->iab", g, _PAULI_BASIS[1:]))
+    def action(t: float) -> np.ndarray:
+        m = np.eye(4)
+        m[1:, 1:] = bloch_propagator(p, t)
+        return m
 
     return action
 
 
-def compose_actions(outer: PauliAction, inner: PauliAction) -> PauliAction:
-    """Pauli-basis action of outer(inner(.)).
-
-    Each inner image is decomposed as x0 1 + sum_i x_i sigma_i with
-    x_k = tr(sigma_k X)/2, then pushed through the outer action linearly.
-    """
-    coeffs = np.einsum("kab,iba->ik", _PAULI_BASIS, np.asarray(inner, dtype=complex)) / 2.0
-    return tuple(np.einsum("ik,kab->iab", coeffs, np.asarray(outer, dtype=complex)))
+def compose_actions(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Pauli-basis matrix of outer(inner(.)): the product outer @ inner."""
+    return outer @ inner
 
 
-def choi_matrix(action: PauliAction) -> np.ndarray:
-    """Choi matrix of a trace-preserving qubit map given on the Pauli basis.
+def choi_matrix(action: np.ndarray) -> np.ndarray:
+    """Choi matrix of a qubit map given by its Pauli-basis matrix M.
 
     The map acts on the first factor of the maximally entangled projector
     P = (1x1 + s1xs1 - s2xs2 + s3xs3)/4 (basis 00, 01, 10, 11 row-major):
 
-        choi = ( M[1] x 1 + M[s1] x s1 - M[s2] x s2 + M[s3] x s3 ) / 4 ,
+        choi = sum_{j,k} M[j, k] s_j x t_k / 4 ,  (t_k) = (1, s1, -s2, s3),
 
-    assembled as one contraction against the stack (1, s1, -s2, s3).
+    one product of the flattened M with a constant 16x16 matrix.
     """
-    images = np.asarray(action, dtype=complex)
-    return 0.25 * np.einsum("kij,kab->iajb", images, _CHOI_STACK).reshape(4, 4)
+    return (np.reshape(action, 16) @ _CHOI_BASIS).reshape(4, 4)
 
 
 class CPReport(NamedTuple):
@@ -108,7 +99,7 @@ class CPReport(NamedTuple):
 
 
 def is_completely_positive(
-    family: Callable[[float], PauliAction], t_grid: Sequence[float]
+    family: Callable[[float], np.ndarray], t_grid: Sequence[float]
 ) -> CPReport:
     """Scan Choi spectra over a time grid.
 

@@ -1,6 +1,8 @@
 import numpy as np
 
-from qslip import ModelParams
+from qslip import ModelParams, qmat
+
+_PAULI_BASIS = np.stack((qmat.IDENTITY_2, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3))
 
 # Parameter sets highlighted throughout the analysis (omega = 1 rescaling).
 FIGURE_PARAMS = (
@@ -24,3 +26,9 @@ def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
+def pauli_images(action) -> np.ndarray:
+    """The 2x2 images sum_j M[j, k] s_j of (1, s1, s2, s3) under a map with
+    Pauli-basis matrix M, stacked along the first axis."""
+    return np.einsum("jk,jab->kab", action, _PAULI_BASIS)

@@ -59,7 +59,8 @@ def test_criterion_01_classification_grid():
     behavior_ok = True
     for a in np.linspace(0.0, 1.0, 20):
         for b in np.linspace(0.0, 0.95, 20):
-            tag = classify(float(a), float(b), 1.0)
+            p = ModelParams(float(a), float(b), 1.0)
+            tag = classify(p)
             if b == 0.0:
                 expected = Classification.COMPLETELY_POSITIVE
             elif a * a >= b * b:
@@ -70,7 +71,6 @@ def test_criterion_01_classification_grid():
             if b == 0.0:
                 behavior_ok &= np.exp(-4.0 * a * ts).max() <= 1.0 + 1e-12
                 continue
-            p = ModelParams(float(a), float(b), 1.0)
             peak = norm_bound_curve(p, ts).max()
             _, t_prime = norm_bound_max(p)
             peak = max(peak, float(norm_bound_curve(p, t_prime)))
@@ -197,10 +197,10 @@ def test_criterion_09_window_reproduction():
 
 def test_criterion_10_choi_complete_positivity():
     grid = np.arange(0.0, 5.0001, 0.01)
-    cp_branch = is_completely_positive(semigroup_action(0.5, 0.0, 1.0), grid)
+    cp_branch = is_completely_positive(semigroup_action(ModelParams(0.5, 0.0, 1.0)), grid)
     ok = cp_branch.min_eigenvalue >= -1e-12
 
-    positive_branch = is_completely_positive(semigroup_action(1.0, 0.5, 2.0), grid)
+    positive_branch = is_completely_positive(semigroup_action(ModelParams(1.0, 0.5, 2.0)), grid)
     ok &= positive_branch.min_eigenvalue < -1e-8
 
     gamma = semigroup_action(ModelParams(0.1, 0.9))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIGURE_PARAMS, random_model_params
+from conftest import FIGURE_PARAMS, pauli_images, random_model_params
 from qslip import (
     IntegratorConfig,
     ModelParams,
@@ -106,7 +106,7 @@ def test_evolve_matches_heisenberg_route():
         p = random_model_params(rng)
         mu = rng.uniform(0.0, 1.0)
         t = rng.uniform(0.0, 4.0)
-        one, s1t, s2t, s3t = semigroup_action(p)(t)
+        one, s1t, s2t, s3t = pauli_images(semigroup_action(p)(t))
         rebuilt = 0.25 * (
             np.kron(one, qmat.IDENTITY_2)
             + mu * (
@@ -375,6 +375,17 @@ def test_rate_factor_max_near_the_creation_threshold():
     # a 50-digit mpmath evaluation at the same float inputs.
     peak, _ = rate_factor_max(ModelParams(0.7499985000000001, 1.4999985, 1.5))
     assert abs(peak / 1.4997749558226576e-12 - 1.0) <= 1e-3
+
+
+def test_rate_factor_where_b_squared_underflows():
+    # b^2 rounds to 0 at a = 0, so the threshold-safe G_max would be 0 / 0;
+    # G is -a = 0 there, as at b = 0.
+    offsets = np.linspace(0.0, 4.0, 9)
+    for p in (ModelParams(0.0, 1e-170), ModelParams(0.0, 1e-300)):
+        assert rate_factor_max(p) == (0.0, p.t_bar)
+        assert np.isfinite(concurrence_rate_factor(p, offsets)).all()
+        assert all(np.isfinite(curve).all() for curve in window_functions(p, offsets))
+        assert detect_windows(p).intervals == ()
 
 
 def test_entanglement_creation_criterion_examples():

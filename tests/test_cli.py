@@ -171,6 +171,30 @@ def test_verify_passes_near_b_equal_omega(capsys):
     assert cli.main(argv) == 0, capsys.readouterr().out
 
 
+def test_windows_and_verify_run_where_b_squared_underflows(capsys):
+    for b in ("1e-170", "1e-300"):
+        assert cli.main(["windows", "--a", "0", "--b", b, "--steps", "2"]) == 0
+        assert "nan" not in capsys.readouterr().out
+        # The maxima check may fail at such a tiny b; every check still runs.
+        cli.main(["verify", "--a", "0", "--b", b, "--t-max", "0.5", "--step", "1e-3"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:5]] == [
+            "propagator_vs_rk4", "eigenvalues_vs_jacobi", "concurrence_closed_vs_wootters",
+            "maxima_vs_golden_section", "ppt_mu_sign_symmetry"]
+
+
+def test_evolve_rejects_an_overflowing_trajectory():
+    # The closed form overflows in r1 (inf * 0 = NaN at t = 0) or in the norm.
+    for argv in (["--b", "0.9999999999", "--r1", "0", "--r2", "1e304"],
+                 ["--b", "0.5", "--r1", "1e300", "--r2", "1e300"],
+                 ["--b", "0.5", "--r1", "1e300", "--r2", "1e300", "--format", "json"]):
+        proc = run_cli("evolve", "--a", "0", "--steps", "3", *argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: trajectory overflows: a Bloch component or the norm is "
+                               "not a finite float for this initial vector and these rates\n")
+
+
 def test_bounds_figure_point():
     proc = run_cli("bounds", "--a", "0.1", "--b", "0.9")
     payload = json.loads(proc.stdout)

@@ -408,3 +408,36 @@ def test_exports_match_what_the_package_binds():
         offenders += [f"{scope.__name__}.{name}" for scope in scopes
                       for name in _DELETED_NAMES if name in vars(scope)]
     assert offenders == []
+
+
+def test_benchmark_workloads_reach_only_existing_names():
+    # The benchmark's workloads call the package by attribute; a name a
+    # refactor drops would make their operations raise.  Reads the file
+    # only.  Each call must also bind its positional and keyword arguments
+    # (calls with *args or **kwargs are checked for the name alone).
+    source = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    modules = {"qslip": qslip, **{name: importlib.import_module(f"qslip.{name}") for name in
+                                  ("bipartite", "cli", "oracle", "qmat", "semigroup", "slippage")}}
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    missing, unbound, reached = [], [], 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            continue
+        reached += 1
+        where = f"workloads.py:{node.lineno} {node.value.id}.{node.attr}"
+        if not hasattr(modules[node.value.id], node.attr):
+            missing.append(where)
+            continue
+        call = calls.get(id(node))
+        if (call is None or any(isinstance(arg, ast.Starred) for arg in call.args)
+                or any(kw.arg is None for kw in call.keywords)):
+            continue
+        try:
+            inspect.signature(getattr(modules[node.value.id], node.attr)).bind(
+                *call.args, **{kw.arg: None for kw in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    assert reached > 30
+    assert missing == [] and unbound == []

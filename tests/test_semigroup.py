@@ -25,7 +25,6 @@ from qslip import (
     norm_bound_max,
     propagate,
     r4_max,
-    semigroup_action,
 )
 from qslip import qmat
 
@@ -69,13 +68,6 @@ def test_model_params_reject_overflowing_omega():
     with pytest.raises(ValueError, match="give Omega=0.0, not finite and > 0"):
         ModelParams(0.1, 5e-201, 1e-200)
     assert 0.0 < ModelParams(0.1, 0.9, 1e154).Omega < np.inf
-
-
-def test_raw_rate_forms_reject_overflowing_omega():
-    # The raw-float forms build a ModelParams on the call, before any t.
-    for raw_form in (classify, semigroup_action):
-        with pytest.raises(ValueError, match="give Omega=inf"):
-            raw_form(0.1, 0.5, 1e200)
 
 
 def test_bloch_density_round_trip():
@@ -212,17 +204,16 @@ def test_trajectory_matches_pointwise_propagation():
 # ------------------------------------------------------------ classification
 
 def test_classification_rule():
-    assert classify(0.5, 0.0, 1.0) is Classification.COMPLETELY_POSITIVE
-    assert classify(1.0, 0.5, 2.0) is Classification.POSITIVE_NOT_CP
-    assert classify(0.1, 0.9, 1.0) is Classification.NON_POSITIVE
-    assert classify(ModelParams(0.1, 0.9)) is Classification.NON_POSITIVE
+    assert classify(ModelParams(0.5, 0.0, 1.0)) is Classification.COMPLETELY_POSITIVE
+    assert classify(ModelParams(1.0, 0.5, 2.0)) is Classification.POSITIVE_NOT_CP
+    assert classify(ModelParams(0.1, 0.9, 1.0)) is Classification.NON_POSITIVE
 
 
 def test_classify_validation():
     with pytest.raises(ValueError):
-        classify(-0.1, 0.5, 1.0)
+        classify(ModelParams(-0.1, 0.5, 1.0))
     with pytest.raises(ValueError):
-        classify(0.1, 1.2, 1.0)
+        classify(ModelParams(0.1, 1.2, 1.0))
 
 
 def test_classification_matches_norm_behavior():
@@ -335,9 +326,3 @@ def test_b_zero_branch(a, omega):
     report = detect_windows(p)
     assert report.intervals == ()
     assert report.mu_upper_corrected == 1.0
-    # The raw-float forms are the ModelParams forms.
-    assert classify(a, 0.0, omega) is classify(p)
-    for t in (0.0, 0.3, 2.0):
-        raw = semigroup_action(a, 0.0, omega)(t)
-        built = semigroup_action(p)(t)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(raw, built))

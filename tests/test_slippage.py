@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bloch_in_ball
+from conftest import pauli_images, random_bloch_in_ball
 from qslip import (
     BlochVector,
     ModelParams,
+    bloch_propagator,
     SlippageChannel,
     choi_matrix,
     compose_actions,
@@ -37,8 +38,9 @@ def _kraus_apply(mu, rho):
 
 
 def _apply_action(action, r):
-    """Image of rho = (1 + r.sigma)/2 under a map given on the Pauli basis."""
-    return 0.5 * (action[0] + r.r1 * action[1] + r.r2 * action[2] + r.r3 * action[3])
+    """Image of rho = (1 + r.sigma)/2 under a map given by its Pauli-basis matrix."""
+    one, s1, s2, s3 = pauli_images(action)
+    return 0.5 * (one + r.r1 * s1 + r.r2 * s2 + r.r3 * s3)
 
 
 def test_channel_validation():
@@ -107,14 +109,14 @@ def test_semigroup_choi_detects_non_cp():
 
 
 def test_cp_scan_completely_positive_branch():
-    family = semigroup_action(0.5, 0.0, 1.0)  # b = 0
+    family = semigroup_action(ModelParams(0.5, 0.0, 1.0))  # b = 0
     report = is_completely_positive(family, np.arange(0.0, 5.0001, 0.01))
     assert report.is_cp
     assert report.min_eigenvalue >= -1e-12
 
 
 def test_cp_scan_positive_not_cp_branch():
-    family = semigroup_action(1.0, 0.5, 2.0)
+    family = semigroup_action(ModelParams(1.0, 0.5, 2.0))
     report = is_completely_positive(family, np.arange(0.0, 5.0001, 0.01))
     assert not report.is_cp
     assert report.min_eigenvalue < -1e-8
@@ -130,7 +132,7 @@ def test_cp_scan_slipped_family():
 
 
 def test_cp_scan_validation():
-    family = semigroup_action(0.5, 0.0, 1.0)
+    family = semigroup_action(ModelParams(0.5, 0.0, 1.0))
     with pytest.raises(ValueError):
         is_completely_positive(family, [])
     with pytest.raises(ValueError):
@@ -186,13 +188,24 @@ def test_compose_scales_pauli_images():
     mu = 0.4
     composed = compose_actions(gamma(0.7), slippage_action(SlippageChannel(mu)))
     direct = gamma(0.7)
-    assert np.abs(composed[0] - direct[0]).max() <= 1e-14
+    # Column k holds the Pauli coordinates of the image of s_k.
+    assert np.abs(composed[:, 0] - direct[:, 0]).max() <= 1e-14
     for k in (1, 2, 3):
-        assert np.abs(composed[k] - mu * direct[k]).max() <= 1e-14
+        assert np.abs(composed[:, k] - mu * direct[:, k]).max() <= 1e-14
+
+
+def test_semigroup_action_is_the_bloch_propagator_with_an_identity_corner():
+    p = ModelParams(0.3, 0.8)
+    for t in (0.0, 0.7, 2.5):
+        action = semigroup_action(p)(t)
+        assert action[1:, 1:].tobytes() == bloch_propagator(p, t).tobytes()
+        assert action[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert action[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def _uniform_action(rng):
-    return tuple(rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) for _ in range(4))
+    """A general (complex) Pauli-basis matrix, entries uniform in the unit square."""
+    return rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
 
 
 def test_choi_matrix_matches_kron_formula():
@@ -201,8 +214,14 @@ def test_choi_matrix_matches_kron_formula():
     actions = [_uniform_action(rng) for _ in range(20)]
     actions += [semigroup_action(ModelParams(0.3, 0.8))(t) for t in (0.0, 0.7, 2.5)]
     for m in actions:
-        kron = 0.25 * (np.kron(m[0], i2) + np.kron(m[1], s1) - np.kron(m[2], s2) + np.kron(m[3], s3))
-        assert np.abs(choi_matrix(m) - kron).max() <= 1e-15
+        m0, m1, m2, m3 = pauli_images(m)
+        kron = 0.25 * (np.kron(m0, i2) + np.kron(m1, s1) - np.kron(m2, s2) + np.kron(m3, s3))
+        # Per real or imaginary part, with m the largest entry modulus: the
+        # images round once (2u m), their two-term sum once more (4u m), so
+        # the quartered reference is within eps m; choi_matrix sums four
+        # exact terms of size <= m/4 (1.5 eps m).  2.5 eps m per part is
+        # 3.6 eps m in modulus.
+        assert np.abs(choi_matrix(m) - kron).max() <= 4 * _EPS * np.abs(m).max()
 
 
 def test_compose_actions_matches_trace_formula():
@@ -212,8 +231,14 @@ def test_compose_actions_matches_trace_formula():
     pairs = [(_uniform_action(rng), _uniform_action(rng)) for _ in range(20)]
     pairs += [(gamma(1.3), slippage_action(SlippageChannel(0.4))), (gamma(0.2), gamma(2.9))]
     for outer, inner in pairs:
-        composed = compose_actions(outer, inner)
-        for image, result in zip(inner, composed):
+        # First-order bound per real or imaginary part, u = eps/2 and m the
+        # largest entry modulus: the reference (images, traces, four complex
+        # products, a four-term sum) is within 112 u m_out m_in, the images
+        # of the 4x4 product within 56 u m_out m_in; 84 eps per part is
+        # under 120 eps in modulus.
+        bound = 120 * _EPS * np.abs(outer).max() * np.abs(inner).max()
+        outer_images = pauli_images(outer)
+        for image, result in zip(pauli_images(inner), pauli_images(compose_actions(outer, inner))):
             coeffs = [np.trace(b @ image) / 2.0 for b in basis]
-            expected = sum(c * o for c, o in zip(coeffs, outer))
-            assert np.abs(result - expected).max() <= 1e-15
+            expected = sum(c * o for c, o in zip(coeffs, outer_images))
+            assert np.abs(result - expected).max() <= bound
