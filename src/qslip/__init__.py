@@ -19,7 +19,6 @@ from .bipartite import (
     eigenvalues_closed_form,
     evolve_isotropic,
     isotropic,
-    partial_transpose_spectrum_check,
     positivity_bound,
     r1_curve,
     r4_curve,
@@ -95,7 +94,6 @@ __all__ = [
     "maximize_scalar",
     "norm_bound_curve",
     "norm_bound_max",
-    "partial_transpose_spectrum_check",
     "positivity_bound",
     "propagate",
     "r1_curve",

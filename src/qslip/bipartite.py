@@ -11,9 +11,10 @@ concurrence, and two critical radii:
 When the rate criterion a^2 < b^4 / (4 omega^2) holds, the concurrence of a
 valid state *grows* on certain time windows even though the action is
 purely local; ``detect_windows`` finds those windows in closed form, with
-the tightened mu bound that excludes them.  Everything here is checked
-against the Jacobi eigensolver, the RK4 integrator, the golden-section
-maximizer (the peak radii) or a dense-grid window scan in the tests.
+the tightened mu bound that excludes them.  All but ``concurrence_wootters``
+are closed forms, which the tests and ``qslip verify`` check against the
+Jacobi eigensolver (also on the partial transpose), the RK4 integrator,
+the golden-section maximizer or a dense-grid window scan.
 
 The time-dependent closed forms, and the corners of ``evolve_isotropic``,
 take time through one kernel (``qslip._timekernel``): a scalar time runs on
@@ -322,10 +323,11 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
     Omega^2 / (b^2 hyp))) / (2 Omega).  dR1/dt has the sign of G and f > 0 iff
     R1 > R4, so f rises on each such interval: a window runs from its G zero,
     or the one zero of f (bisected to adjacent floats), to the other G zero
-    or the horizon, and R1 peaks at its right end, which gives
-    mu_upper_corrected = 1 / max R1(t_bar + right).  R1 - 1 at the right ends
-    falls by exp(-2a pi/(2 Omega)) per period, so the scan stops at the first
-    right end with f <= 0.  At a = 0 windows recur every period, and a
+    or the horizon, and R1 peaks at its right end.  R1 - 1 at the right ends
+    falls by exp(-2a pi/(2 Omega)) per period, and a later window can only
+    be clipped shorter by the horizon, so the first window's right end sets
+    mu_upper_corrected = 1 / R1(t_bar + right) and the scan stops at the
+    first right end with f <= 0.  At a = 0 windows recur every period, and a
     horizon over ``MAX_WINDOW_PERIODS`` periods raises ``ValueError``.
     """
     big_omega = p.Omega
@@ -355,22 +357,8 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
         intervals.append((left if f(left) > 0.0 else _first_positive(f, left, right), right))
 
     mu_physical = positivity_bound(p)
-    peaks = [r1_curve(p, p.t_bar + right) for _, right in intervals]
-    mu_corrected = 1.0 / max(peaks) if peaks else mu_physical
+    mu_corrected = 1.0 / r1_curve(p, p.t_bar + intervals[0][1]) if intervals else mu_physical
     return WindowReport(t_bar=p.t_bar, intervals=tuple(intervals), mu_upper_physical=mu_physical,
                         mu_upper_corrected=mu_corrected,
                         kills_all_entanglement=mu_corrected <= SEPARABLE_MU + 1e-12)
 
-
-def partial_transpose_spectrum_check(p: ModelParams, mu: float, t: float,
-                                     tol: float = 1e-10) -> bool:
-    """Verify the mu -> -mu spectral symmetry of the partial transpose.
-
-    Partially transposing the evolved isotropic matrix swaps its corner
-    entries, so its spectrum must equal the closed-form eigenvalues
-    evaluated at -mu.  Compares sorted spectra within ``tol``.
-    """
-    transposed = qmat.partial_transpose_first(evolve_isotropic(p, mu, t))
-    numeric = np.sort(qmat.hermitian_eigenvalues(transposed))
-    closed = np.sort(eigenvalues_closed_form(p, -float(mu), t))
-    return bool(np.abs(numeric - closed).max() <= tol)

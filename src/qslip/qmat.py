@@ -59,10 +59,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
         return float(np.abs(m - dagger(m)).max())
 
 
-def _hermitian_rows(m: np.ndarray, tol: float) -> list:
+def _hermitian_rows(m: np.ndarray) -> list:
     """Rows of (M + M^dagger)/2 as Python complex scalars, after checking that
     each entry's defect |x - conj(y)| (y the transposed entry) is within
-    ``tol``; a non-finite entry gives a NaN or inf defect, which fails too."""
+    ``HERMITIAN_INPUT_TOL``; a non-finite entry gives a NaN or inf defect,
+    which fails too."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -74,9 +75,10 @@ def _hermitian_rows(m: np.ndarray, tol: float) -> list:
             if not (x or y):  # NaN and inf are truthy, so they reach the check
                 continue
             y_conj = y.conjugate()
-            if not abs(x - y_conj) <= tol:
+            if not abs(x - y_conj) <= HERMITIAN_INPUT_TOL:
                 defect = hermiticity_defect(m)  # the largest, for the message
-                raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
+                raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} "
+                                 f"exceeds {HERMITIAN_INPUT_TOL:.1e}")
             sym[i][j] = 0.5 * (x + y_conj)
             sym[j][i] = 0.5 * (y + x.conjugate())
     return sym
@@ -146,19 +148,19 @@ def _jacobi(a: list, vt: list | None):
     return np.array([diagonal[i] for i in order]), order
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL):
+def hermitian_eig(m: np.ndarray):
     """Eigenvalues ``w`` (descending) and orthonormal eigenvector columns ``v``
-    of a Hermitian matrix (defect within ``tol``, else ``ValueError``) by
-    cyclic Jacobi, so that ``m ~= v @ diag(w) @ v^dagger``."""
-    a = _hermitian_rows(m, tol)
+    of a Hermitian matrix (defect within ``HERMITIAN_INPUT_TOL``, else
+    ``ValueError``) by cyclic Jacobi, so that ``m ~= v @ diag(w) @ v^dagger``."""
+    a = _hermitian_rows(m)
     vt = np.eye(len(a), dtype=complex).tolist()
     w, order = _jacobi(a, vt)
     return w, np.array([vt[i] for i in order], dtype=complex).T
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: float = HERMITIAN_INPUT_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending; skips the eigenvectors."""
-    return _jacobi(_hermitian_rows(m, tol), None)[0]
+    return _jacobi(_hermitian_rows(m), None)[0]
 
 
 def partial_transpose_first(m: np.ndarray) -> np.ndarray:

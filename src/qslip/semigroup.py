@@ -132,9 +132,6 @@ class BlochVector:
     def norm_squared(self) -> float:
         return self.r1 * self.r1 + self.r2 * self.r2 + self.r3 * self.r3
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
     @classmethod
     def from_density_matrix(cls, rho) -> "BlochVector":
         rho = np.asarray(rho, dtype=complex)
@@ -236,10 +233,11 @@ def generator(p: ModelParams) -> np.ndarray:
 
 
 def classify(p: ModelParams) -> Classification:
-    """Positivity class from (a, b): CP iff b = 0, positive iff a^2 >= b^2."""
+    """Positivity class from (a, b): CP iff b = 0, positive iff a >= b (that is
+    a^2 >= b^2, tested without the squares, which underflow below 1.5e-162)."""
     if p.b == 0.0:
         return Classification.COMPLETELY_POSITIVE
-    if p.a * p.a >= p.b * p.b:
+    if p.a >= p.b:
         return Classification.POSITIVE_NOT_CP
     return Classification.NON_POSITIVE
 
@@ -308,7 +306,7 @@ def norm_bound_curve(p: ModelParams, t):
 def norm_bound_max(p: ModelParams):
     """Peak radius R = max_t R(t) and the time t' where it is reached.
 
-    For a^2 < b^2 (non-positive maps):
+    For a < b (non-positive maps):
 
         R  = exp(-2 a t') sqrt( (omega + sqrt(b^2 - a^2))
                               / (omega - sqrt(b^2 - a^2)) )
@@ -319,10 +317,10 @@ def norm_bound_max(p: ModelParams):
     exactly, but the float R is good to a few ulps, so near a = b, where
     R - 1 ~ (b^2 - a^2)^(3/2) hyp^2 / (3 a^2 omega^3), R - 1 keeps a relative
     accuracy of only about eps / (R - 1); R is clamped at R(0) = 1, a lower
-    bound of the peak.  Positive maps never leave the ball, so for
-    a^2 >= b^2 the pair (1.0, 0.0) is returned.
+    bound of the peak.  Positive maps never leave the ball, so for a >= b
+    the pair (1.0, 0.0) is returned, as it is where b^2 - a^2 underflows.
     """
-    if p.a * p.a >= p.b * p.b:
+    if p.a >= p.b:
         return 1.0, 0.0
     big_omega = p.Omega
     root = math.sqrt(p.b * p.b - p.a * p.a)

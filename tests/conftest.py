@@ -1,6 +1,6 @@
 import numpy as np
 
-from qslip import ModelParams, qmat
+from qslip import ModelParams, eigenvalues_closed_form, evolve_isotropic, qmat
 
 _PAULI_BASIS = np.stack((qmat.IDENTITY_2, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3))
 
@@ -26,6 +26,15 @@ def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
+def ppt_spectrum_deviation(p: ModelParams, mu: float, t: float) -> float:
+    """Largest deviation of the Jacobi spectrum of the partially transposed
+    evolved isotropic matrix from the closed-form eigenvalues at -mu (the
+    transpose swaps the corners); NaN if either side holds a NaN."""
+    transposed = qmat.partial_transpose_first(evolve_isotropic(p, mu, t))
+    return float(np.abs(np.sort(qmat.hermitian_eigenvalues(transposed))
+                        - np.sort(eigenvalues_closed_form(p, -mu, t))).max())
 
 
 def pauli_images(action) -> np.ndarray:

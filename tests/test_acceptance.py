@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from conftest import FIGURE_PARAMS, random_model_params
+from conftest import FIGURE_PARAMS, ppt_spectrum_deviation, random_model_params
 from qslip import (
     BlochVector,
     Classification,
@@ -31,7 +31,6 @@ from qslip import (
     maximize_scalar,
     norm_bound_curve,
     norm_bound_max,
-    partial_transpose_spectrum_check,
     positivity_bound,
     propagate,
     r4_curve,
@@ -139,7 +138,7 @@ def test_criterion_06_partial_transpose_symmetry():
         p = random_model_params(rng)
         mu = rng.uniform(0.0, 1.0)
         t = rng.uniform(0.0, 5.0)
-        ok &= partial_transpose_spectrum_check(p, mu, t, tol=1e-10)
+        ok &= ppt_spectrum_deviation(p, mu, t) <= 1e-10
     _criterion(6, ok, "200 draws, transposed spectrum = closed forms at -mu, 1e-10")
 
 

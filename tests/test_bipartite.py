@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIGURE_PARAMS, pauli_images, random_model_params
+from conftest import FIGURE_PARAMS, pauli_images, ppt_spectrum_deviation, random_model_params
 from qslip import (
     IntegratorConfig,
     ModelParams,
@@ -20,7 +20,6 @@ from qslip import (
     isotropic,
     maximize_scalar,
     norm_bound_curve,
-    partial_transpose_spectrum_check,
     positivity_bound,
     r1_curve,
     r4_curve,
@@ -464,7 +463,7 @@ def test_detect_windows_positive_regime_is_empty():
 
 def test_detect_windows_skips_headroom_scan(monkeypatch):
     # The window ends need only the closed-form G zeros and f; R1 enters
-    # only at the right end of each window, on a scalar offset.
+    # once, at the right end of the first window, on a scalar offset.
     calls = []
     r1_curve = bipartite.r1_curve
 
@@ -475,8 +474,9 @@ def test_detect_windows_skips_headroom_scan(monkeypatch):
     monkeypatch.setattr(bipartite, "r1_curve", counted)
     detect_windows(ModelParams(0.5, 0.3))
     assert calls == []
-    report = detect_windows(ModelParams(0.1, 0.9))
-    assert report.intervals and calls and all(np.ndim(t) == 0 for t in calls)
+    report = detect_windows(ModelParams(0.01, 0.4))
+    assert len(report.intervals) >= 2
+    assert calls == [report.t_bar + report.intervals[0][1]] and np.ndim(calls[0]) == 0
 
 
 def test_detect_windows_bound_ordering_and_refinement():
@@ -527,8 +527,8 @@ def test_detect_windows_short_horizon_clips_the_window():
 
 def test_ppt_symmetry_trivial_and_generic():
     p = ModelParams(0.1, 0.9)
-    assert partial_transpose_spectrum_check(p, 0.0, 1.3)
-    assert partial_transpose_spectrum_check(p, 0.2, 0.7)
+    assert ppt_spectrum_deviation(p, 0.0, 1.3) <= 1e-10
+    assert ppt_spectrum_deviation(p, 0.2, 0.7) <= 1e-10
 
 
 def test_ppt_detects_entanglement_window():

@@ -183,6 +183,22 @@ def test_windows_and_verify_run_where_b_squared_underflows(capsys):
             "maxima_vs_golden_section", "ppt_mu_sign_symmetry"]
 
 
+def test_verify_fails_a_nan_partial_transpose_deviation(capsys, monkeypatch):
+    # The partial-transpose check tests each deviation, so a NaN one fails
+    # it rather than vanishing in a running max().
+    closed_form = cli.eigenvalues_closed_form
+
+    def nan_at_negative_mu(p, mu, t):
+        return (np.nan,) * 4 if mu < 0.0 else closed_form(p, mu, t)
+
+    monkeypatch.setattr(cli, "eigenvalues_closed_form", nan_at_negative_mu)
+    argv = ["verify", "--a", "0.1", "--b", "0.9", "--t-max", "0.5", "--step", "1e-3"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4] == "FAIL  ppt_mu_sign_symmetry             tol=1.0e-10"
+    assert lines[5:] == ["1 check(s) failed"]
+
+
 def test_evolve_rejects_an_overflowing_trajectory():
     # The closed form overflows in r1 (inf * 0 = NaN at t = 0) or in the norm.
     for argv in (["--b", "0.9999999999", "--r1", "0", "--r2", "1e304"],

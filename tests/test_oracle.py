@@ -31,7 +31,7 @@ from qslip.oracle import MAX_STEPS
 # Test-only surface that was removed from the package; none may come back.
 _DELETED_NAMES = ("kraus_operators", "kraus_apply", "apply_slippage", "identity_action",
                   "generator_split", "exit_rate", "as_array", "require_state",
-                  "symmetric_projector")
+                  "symmetric_projector", "partial_transpose_spectrum_check")
 
 
 def bloch_of(states):
@@ -381,6 +381,35 @@ def test_closed_forms_never_import_the_oracle_layer():
     assert offenders == []
 
 
+def test_closed_forms_run_the_jacobi_only_in_their_numerical_references():
+    # semigroup, bipartite, slippage and _timekernel hold closed forms; the
+    # Jacobi (qmat.hermitian_*) may run only in the Wootters concurrence and
+    # the Choi scan, the two numerical references the benchmark traces there.
+    allowed = {("bipartite", "concurrence_wootters"), ("slippage", "is_completely_positive")}
+    package = Path(qmat.__file__).parent
+    offenders, users = [], set()
+    for stem in ("semigroup", "bipartite", "slippage", "_timekernel"):
+        tree = ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if not name.startswith("hermitian_"):
+                    continue
+                scope = (stem, getattr(top, "name", None))
+                if scope in allowed:
+                    users.add(scope)
+                else:
+                    offenders.append(f"{stem}.py:{node.lineno} {name}")
+    assert offenders == [] and users == allowed
+
+
 def test_exports_match_what_the_package_binds():
     # Every exported name resolves, __init__ exports exactly the public
     # names it binds, and neither a module nor a class of the package binds
@@ -441,3 +470,44 @@ def test_benchmark_workloads_reach_only_existing_names():
             unbound.append(f"{where}: {exc}")
     assert reached > 30
     assert missing == [] and unbound == []
+
+
+def test_benchmark_span_names_are_functions_of_their_module():
+    # The benchmark's traced run indexes its spans by "module.name", and its
+    # recorder wraps only the functions a module defines itself, so a name
+    # it reads that is missing or re-exported from another module raises
+    # KeyError there.  Reads perfbench's worker and span recorder only: the
+    # durations(...) names, with loops over literal tuples expanded, and the
+    # keys of COUNTERS.
+    bench = Path(__file__).parent.parent / "perfbench"
+    worker = ast.parse((bench / "worker.py").read_text(encoding="utf-8"))
+    loops = {}
+    for node in ast.walk(worker):
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            try:
+                values = ast.literal_eval(node.iter)
+            except ValueError:
+                continue
+            loops.update({id(inner): (node.target.id, values) for inner in ast.walk(node)})
+    names = []
+    for node in ast.walk(worker):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "durations":
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant):
+                names.append(arg.value)
+                continue
+            var, values = loops[id(arg)]
+            code = compile(ast.Expression(arg), "worker.py", "eval")
+            names += [eval(code, {var: value}) for value in values]
+    spans = ast.parse((bench / "spans.py").read_text(encoding="utf-8"))
+    counters, = [node.value for node in spans.body if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "COUNTERS" for target in node.targets)]
+    names += [key.value for key in counters.keys]
+    assert len(names) > 10 and "bipartite.concurrence_wootters" in names
+    offenders = []
+    for full_name in names:
+        module, name = full_name.split(".")
+        fn = getattr(importlib.import_module(f"qslip.{module}"), name, None)
+        if not (inspect.isfunction(fn) and fn.__module__ == f"qslip.{module}"):
+            offenders.append(full_name)
+    assert offenders == []

@@ -209,6 +209,16 @@ def test_classification_rule():
     assert classify(ModelParams(0.1, 0.9, 1.0)) is Classification.NON_POSITIVE
 
 
+def test_classification_where_the_squares_underflow():
+    # a*a and b*b are both 0 here, so a^2 >= b^2 would read 0 >= 0.
+    for a, b, tag in ((0.0, 1e-170, Classification.NON_POSITIVE),
+                      (1e-170, 2e-170, Classification.NON_POSITIVE),
+                      (2e-170, 1e-170, Classification.POSITIVE_NOT_CP)):
+        p = ModelParams(a, b)
+        assert classify(p) is tag
+        assert norm_bound_max(p) == (1.0, 0.0)
+
+
 def test_classify_validation():
     with pytest.raises(ValueError):
         classify(ModelParams(-0.1, 0.5, 1.0))
