@@ -256,7 +256,8 @@ def can_create_entanglement(p: ModelParams) -> bool:
 
     Possible only for non-positive maps (a < b), since omega > b.
     """
-    return p.a * p.a < p.b ** 4 / (4.0 * p.omega * p.omega)
+    b2 = p.b * p.b
+    return p.a * p.a < b2 * b2 / (4.0 * p.omega * p.omega)
 
 
 def _window_f(p: ModelParams, t_offset, k):
@@ -328,7 +329,8 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
     be clipped shorter by the horizon, so the first window's right end sets
     mu_upper_corrected = 1 / R1(t_bar + right) and the scan stops at the
     first right end with f <= 0.  At a = 0 windows recur every period, and a
-    horizon over ``MAX_WINDOW_PERIODS`` periods raises ``ValueError``.
+    horizon over ``MAX_WINDOW_PERIODS`` periods raises ``ValueError``; so do
+    creating rates whose G_max overflows (b above about 1.2e77).
     """
     big_omega = p.Omega
     period = math.pi / (2.0 * big_omega)
@@ -344,7 +346,10 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
 
     half = 0.0
     if can_create_entanglement(p):  # the ratio below divides by b
-        ratio = max(_g_max(p), 0.0) * big_omega * big_omega / (p.b * p.b * p.hyp)
+        g_max = _g_max(p)
+        if not math.isfinite(g_max):
+            raise ValueError(f"a={p.a}, b={p.b}, omega={p.omega} give G_max={g_max}, not finite")
+        ratio = max(g_max, 0.0) * big_omega * big_omega / (p.b * p.b * p.hyp)
         half = math.asin(math.sqrt(ratio)) / (2.0 * big_omega)
     intervals = []
     k = 0

@@ -6,7 +6,9 @@ significant digits, LF line endings, NA for undefined concurrence); JSON
 objects carry a top-level ``"schema": 1``.  Each subcommand's parameters
 are declared once, in ``_COMMANDS``, which gives every one its flag, its
 config key (the long flag name), its type, its default and its help text.
-A JSON config file may supply any parameter; explicit flags win.
+A JSON config file may supply any parameter; explicit flags win.  Each
+handler returns its text and exit code, and ``main`` writes the text once,
+to stdout or to ``--output``.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
@@ -14,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -56,14 +59,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _effective(args: argparse.Namespace) -> dict:
     """Merge flag values over config-file values over the table's defaults."""
     params = _COMMANDS[args.command][3]
@@ -93,69 +88,43 @@ def _effective(args: argparse.Namespace) -> dict:
 
 
 def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return json.dumps({"schema": SCHEMA_VERSION, **payload}, indent=2, allow_nan=False) + "\n"
 
 
-def _report_payload(report) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "t_bar": report.t_bar,
-        "intervals": [[t1, t2] for t1, t2 in report.intervals],
-        "mu_upper_physical": report.mu_upper_physical,
-        "mu_upper_corrected": report.mu_upper_corrected,
-        "kills_all_entanglement": report.kills_all_entanglement,
-    }
-
-
-def _emit_table(args, header: list[str], rows: list[list], report=None) -> None:
-    """Write rows of floats (None for NA) as CSV or as a JSON table.
+def _table(args, header: list[str], rows: list[list], report=None) -> str:
+    """Rows of floats (None for NA) as CSV or as a JSON table.
 
     A window report goes out as the CSV trailer ``# window_report: {...}``
     or as the JSON key ``"report"``.
     """
+    payload = {"columns": header, "rows": rows}
+    if report is not None:
+        payload["report"] = {"schema": SCHEMA_VERSION, **dataclasses.asdict(report)}
     if args.format == "json":
-        payload = {"schema": SCHEMA_VERSION, "columns": header, "rows": rows}
-        if report is not None:
-            payload["report"] = _report_payload(report)
-        text = _json_doc(payload)
-    else:
-        lines = [",".join(header)]
-        lines += [",".join("NA" if x is None else _fmt(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-        if report is not None:
-            text += "# window_report: " + json.dumps(_report_payload(report)) + "\n"
-    _emit(text, args.output)
+        return _json_doc(payload)
+    lines = [",".join(header)]
+    lines += [",".join("NA" if x is None else _fmt(x) for x in row) for row in rows]
+    if report is not None:
+        lines.append("# window_report: " + json.dumps(payload["report"]))
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args, eff: dict) -> int:
-    tag = classify(ModelParams(eff["a"], eff["b"], eff["omega"]))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "tag": tag.value,
-        "a": eff["a"],
-        "b": eff["b"],
-        "omega": eff["omega"],
-        "a2_minus_b2": eff["a"] * eff["a"] - eff["b"] * eff["b"],
-    }
-    _emit(_json_doc(payload), args.output)
-    return 0
+def _cmd_classify(args, eff: dict) -> tuple[str, int]:
+    a, b = eff["a"], eff["b"]
+    tag = classify(ModelParams(a, b, eff["omega"]))
+    return _json_doc({"tag": tag.value, **eff, "a2_minus_b2": a * a - b * b}), 0
 
 
-def _cmd_derive_params(args, eff: dict) -> int:
+def _cmd_derive_params(args, eff: dict) -> tuple[str, int]:
     rates = derive_params(StochasticFieldParams(
         g1=eff["g1"], g2=eff["g2"], g3=eff["g3"], lam=eff["lambda"], lam3=eff["lambda3"],
         omega_tilde=eff["omega-tilde"]))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "omega": rates.omega,
-        "alpha1": rates.alpha1,
-        "alpha2": rates.alpha2,
-        "a": rates.a,
-        "b_raw": rates.b_raw,
-        "b_abs": abs(rates.b_raw),
-    }
-    _emit(_json_doc(payload), args.output)
-    return 0
+    return _json_doc({**rates._asdict(), "b_abs": abs(rates.b_raw)}), 0
+
+
+def _check_mu(mu: float) -> None:
+    if not (0.0 <= mu <= 1.0):
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
 
 
 def _check_grid(steps: int, t_max: float, omega: float) -> None:
@@ -172,10 +141,9 @@ def _check_grid(steps: int, t_max: float, omega: float) -> None:
         )
 
 
-def _cmd_eigs(args, eff: dict) -> int:
+def _cmd_eigs(args, eff: dict) -> tuple[str, int]:
     mu = eff["mu"]
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    _check_mu(mu)
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     _check_grid(eff["steps"], eff["t-max"], p.omega)
     times = [k * eff["t-max"] / eff["steps"] for k in range(eff["steps"] + 1)]
@@ -183,11 +151,10 @@ def _cmd_eigs(args, eff: dict) -> int:
         [t, *eigenvalues_closed_form(p, mu, t), None if math.isnan(conc) else conc]
         for t, conc in zip(times, concurrence_curve(p, mu, np.array(times)).tolist())
     ]
-    _emit_table(args, ["t", "e1", "e2", "e3", "e4", "concurrence"], rows)
-    return 0
+    return _table(args, ["t", "e1", "e2", "e3", "e4", "concurrence"], rows), 0
 
 
-def _cmd_windows(args, eff: dict) -> int:
+def _cmd_windows(args, eff: dict) -> tuple[str, int]:
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     horizon = eff["t-max-offset"]
     if horizon is None:
@@ -196,29 +163,19 @@ def _cmd_windows(args, eff: dict) -> int:
     report = detect_windows(p, horizon)
     offsets = np.linspace(0.0, horizon, eff["steps"] + 1)
     rows = np.column_stack([offsets, *window_functions(p, offsets)]).tolist()
-    _emit_table(args, ["t_offset", "f", "g", "headroom"], rows, report)
-    return 0
+    return _table(args, ["t_offset", "f", "g", "headroom"], rows, report), 0
 
 
-def _cmd_bounds(args, eff: dict) -> int:
+def _cmd_bounds(args, eff: dict) -> tuple[str, int]:
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     radius, t_prime = norm_bound_max(p)
     peak4, t_star = r4_max(p)
-    report = detect_windows(p)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "R": radius,
-        "t_prime": t_prime,
-        "R4": peak4,
-        "t_star": t_star,
-        "R4_inv": 1.0 / peak4,
-        "mu_corrected": report.mu_upper_corrected,
-    }
-    _emit(_json_doc(payload), args.output)
-    return 0
+    return _json_doc({"R": radius, "t_prime": t_prime, "R4": peak4, "t_star": t_star,
+                      "R4_inv": 1.0 / peak4,
+                      "mu_corrected": detect_windows(p).mu_upper_corrected}), 0
 
 
-def _cmd_evolve(args, eff: dict) -> int:
+def _cmd_evolve(args, eff: dict) -> tuple[str, int]:
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     _check_grid(eff["steps"], eff["t-max"], p.omega)
     r0 = BlochVector(eff["r1"], eff["r2"], eff["r3"])
@@ -230,8 +187,12 @@ def _cmd_evolve(args, eff: dict) -> int:
         raise ValueError("trajectory overflows: a Bloch component or the norm is not a finite "
                          "float for this initial vector and these rates")
     rows = np.column_stack([times, traj, norms]).tolist()
-    _emit_table(args, ["t", "r1", "r2", "r3", "norm"], rows)
-    return 0
+    return _table(args, ["t", "r1", "r2", "r3", "norm"], rows), 0
+
+
+def _max_dev(devs: list) -> float:
+    """Largest deviation, 0 for none; NaN if any is NaN, which builtin max() can drop."""
+    return float(np.max(devs, initial=0.0))
 
 
 def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step: float):
@@ -248,70 +209,60 @@ def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step
     dev = float(np.abs(numeric - analytic).max())
     yield "propagator_vs_rk4", dev <= tol_ode, f"max_dev={dev:.3e} tol={tol_ode:.1e}"
 
-    sample_ts = np.linspace(0.0, t_max, 9)
-    dev = 0.0
-    for t in sample_ts:
-        closed = np.array(eigenvalues_closed_form(p, mu, float(t)))
-        numeric = qmat.hermitian_eigenvalues(evolve_isotropic(p, mu, float(t)))
-        dev = max(dev, float(np.abs(np.sort(closed) - np.sort(numeric)).max()))
+    sample_ts = np.linspace(0.0, t_max, 9).tolist()
+    dev = _max_dev([np.abs(np.sort(eigenvalues_closed_form(p, mu, t))
+                           - np.sort(qmat.hermitian_eigenvalues(evolve_isotropic(p, mu, t)))).max()
+                    for t in sample_ts])
     yield "eigenvalues_vs_jacobi", dev <= tol_alg, f"max_dev={dev:.3e} tol={tol_alg:.1e}"
 
     # Check at the requested mu and just inside the positivity bound, where
     # the concurrence is typically nonzero.
-    dev = 0.0
-    compared = 0
+    devs = []
     for mu_check in dict.fromkeys((mu, 0.999 * positivity_bound(p))):
         for t in sample_ts:
-            closed = concurrence_curve(p, mu_check, float(t))
-            if math.isnan(closed):
-                continue
-            woot = concurrence_wootters(evolve_isotropic(p, mu_check, float(t)))
-            dev = max(dev, abs(closed - woot))
-            compared += 1
-    yield ("concurrence_closed_vs_wootters", dev <= tol_alg and compared > 0,
-           f"max_dev={dev:.3e} tol={tol_alg:.1e} points={compared}")
+            closed = concurrence_curve(p, mu_check, t)
+            if not math.isnan(closed):
+                devs.append(abs(closed - concurrence_wootters(evolve_isotropic(p, mu_check, t))))
+    dev = _max_dev(devs)
+    yield ("concurrence_closed_vs_wootters", dev <= tol_alg and len(devs) > 0,
+           f"max_dev={dev:.3e} tol={tol_alg:.1e} points={len(devs)}")
 
     # An argmax is compared only where it is unique: the closed form gives
     # no peak time of R(t) for positive maps (a >= b), and R4(t) = 1 and
     # G(t) = -a are flat at b = 0.
     bracket = math.pi / (2.0 * p.Omega)
-    dev = 0.0
+    devs = []
     for (peak, t_peak), curve, unique in (
         (norm_bound_max(p), lambda t: math.sqrt(norm_bound_curve(p, t)), p.a < p.b),
         (r4_max(p), lambda t: r4_curve(p, t), p.b > 0.0),
         (rate_factor_max(p), lambda t: rate_factor_product_form(p, t), p.b > 0.0),
     ):
         t_num, v_num = maximize_scalar(curve, 0.0, bracket)
-        dev = max(dev, abs(peak - v_num), abs(t_peak - t_num) if unique else 0.0)
+        devs += [abs(peak - v_num), abs(t_peak - t_num) if unique else 0.0]
+    dev = _max_dev(devs)
     yield "maxima_vs_golden_section", dev <= tol_max, f"max_dev={dev:.3e} tol={tol_max:.1e}"
 
     # The partial transpose swaps the corners: its spectrum is the closed form
-    # at -mu.  `<=` per time fails a NaN deviation, which max(dev, ...) drops.
+    # at -mu.  `<=` per time fails a NaN deviation.
     def ppt_deviation(t: float) -> float:
         transposed = qmat.partial_transpose_first(evolve_isotropic(p, mu, t))
         return np.abs(np.sort(qmat.hermitian_eigenvalues(transposed))
                       - np.sort(eigenvalues_closed_form(p, -mu, t))).max()
 
-    ok = all(ppt_deviation(float(t)) <= tol_alg for t in sample_ts)
+    ok = all(ppt_deviation(t) <= tol_alg for t in sample_ts)
     yield "ppt_mu_sign_symmetry", ok, f"tol={tol_alg:.1e}"
 
 
-def _cmd_verify(args, eff: dict) -> int:
-    mu = eff["mu"]
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+def _cmd_verify(args, eff: dict) -> tuple[str, int]:
+    _check_mu(eff["mu"])
     if not (0.0 < eff["tol"] < math.inf):
         raise ValueError(f"tol must be finite and > 0, got {eff['tol']}")
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
-    failures = 0
-    for name, passed, detail in _verify_checks(p, mu, eff["tol"], eff["t-max"], eff["step"]):
-        print(f"{'PASS' if passed else 'FAIL'}  {name:<32} {detail}")
-        failures += 0 if passed else 1
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 1
-    print("all checks passed")
-    return 0
+    checks = list(_verify_checks(p, eff["mu"], eff["tol"], eff["t-max"], eff["step"]))
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name:<32} {detail}" for name, ok, detail in checks]
+    failures = sum(not ok for _, ok, _ in checks)
+    lines.append(f"{failures} check(s) failed" if failures else "all checks passed")
+    return "\n".join(lines) + "\n", 1 if failures else 0
 
 
 _MODEL = {
@@ -382,11 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args, _effective(args))
+        text, code = _COMMANDS[args.command][0](args, _effective(args))
+        if args.output is None or args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

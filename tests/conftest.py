@@ -12,6 +12,18 @@ FIGURE_PARAMS = (
     ModelParams(0.01, 0.4),
 )
 
+# One call of each CLI subcommand (acceptance criterion 13).
+CLI_COMMANDS = (
+    ("classify", "--a", "0.1", "--b", "0.9"),
+    ("derive-params", "--g1", "2", "--g2", "1", "--g3", "1",
+     "--lambda", "10", "--lambda3", "1", "--omega-tilde", "1"),
+    ("eigs", "--a", "0.1", "--b", "0.9", "--mu", "0.2", "--steps", "100"),
+    ("windows", "--a", "0.3", "--b", "0.8", "--steps", "400"),
+    ("bounds", "--a", "0.3", "--b", "0.8"),
+    ("verify", "--a", "0.1", "--b", "0.9", "--mu", "0.2", "--t-max", "0.5", "--step", "1e-3"),
+    ("evolve", "--a", "0.1", "--b", "0.9", "--steps", "100"),
+)
+
 
 def random_model_params(rng: np.random.Generator) -> ModelParams:
     """Draw rates with omega in [0.5, 2], b strictly inside (0, omega)."""

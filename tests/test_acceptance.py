@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from conftest import FIGURE_PARAMS, ppt_spectrum_deviation, random_model_params
+from conftest import CLI_COMMANDS, FIGURE_PARAMS, ppt_spectrum_deviation, random_model_params
 from qslip import (
     BlochVector,
     Classification,
@@ -238,21 +238,10 @@ def test_criterion_12_rk4_convergence_order():
 
 
 def test_criterion_13_cli_determinism():
-    commands = (
-        ("classify", "--a", "0.1", "--b", "0.9"),
-        ("derive-params", "--g1", "2", "--g2", "1", "--g3", "1",
-         "--lambda", "10", "--lambda3", "1", "--omega-tilde", "1"),
-        ("eigs", "--a", "0.1", "--b", "0.9", "--mu", "0.2", "--steps", "100"),
-        ("windows", "--a", "0.3", "--b", "0.8", "--steps", "400"),
-        ("bounds", "--a", "0.3", "--b", "0.8"),
-        ("verify", "--a", "0.1", "--b", "0.9", "--mu", "0.2",
-         "--t-max", "0.5", "--step", "1e-3"),
-        ("evolve", "--a", "0.1", "--b", "0.9", "--steps", "100"),
-    )
     ok = True
-    for command in commands:
+    for command in CLI_COMMANDS:
         first = subprocess.run([sys.executable, "-m", "qslip", *command], capture_output=True)
         second = subprocess.run([sys.executable, "-m", "qslip", *command], capture_output=True)
         ok &= first.returncode == second.returncode == 0
         ok &= first.stdout == second.stdout
-    _criterion(13, ok, f"{len(commands)} subcommands, two runs each, byte-identical stdout")
+    _criterion(13, ok, f"{len(CLI_COMMANDS)} subcommands, two runs each, byte-identical stdout")

@@ -1,10 +1,13 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import CLI_COMMANDS
 from qslip import cli
 
 
@@ -184,8 +187,8 @@ def test_windows_and_verify_run_where_b_squared_underflows(capsys):
 
 
 def test_verify_fails_a_nan_partial_transpose_deviation(capsys, monkeypatch):
-    # The partial-transpose check tests each deviation, so a NaN one fails
-    # it rather than vanishing in a running max().
+    # A NaN partial-transpose deviation fails the check rather than
+    # vanishing in a running max().
     closed_form = cli.eigenvalues_closed_form
 
     def nan_at_negative_mu(p, mu, t):
@@ -197,6 +200,29 @@ def test_verify_fails_a_nan_partial_transpose_deviation(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[4] == "FAIL  ppt_mu_sign_symmetry             tol=1.0e-10"
     assert lines[5:] == ["1 check(s) failed"]
+
+
+def test_verify_fails_a_nan_maximum(capsys):
+    # rate_factor_max is NaN here; a running max(0.0, nan) would drop it.
+    argv = ["verify", "--a", "1e102", "--b", "1e103", "--omega", "2e103", "--t-max", "5e-104",
+            "--step", "5e-107"]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "FAIL  maxima_vs_golden_section         max_dev=nan tol=1.0e-06"
+    assert lines[5:] == ["1 check(s) failed"]
+
+
+def test_bounds_and_windows_reject_an_overflowing_peak_rate_factor(capsys):
+    # G_max is inf from b of about 1.2e77 and NaN at 1e103 (omega = 2b),
+    # where the window scan would otherwise fail in asin or drop every window.
+    for argv, peak in ((["bounds", "--b", "1e78", "--omega", "2e78"], "inf"),
+                       (["windows", "--b", "1e100", "--omega", "2e100", "--steps", "2"], "inf"),
+                       (["bounds", "--b", "1e103", "--omega", "2e103"], "nan")):
+        assert cli.main([*argv, "--a", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a=0.0, b=")
+        assert err.endswith(f" give G_max={peak}, not finite\n") and err.count("\n") == 1
 
 
 def test_evolve_rejects_an_overflowing_trajectory():
@@ -429,13 +455,33 @@ def test_config_rejects_fractional_steps(tmp_path, capsys):
     _rejected(capsys, ["eigs", "--config", str(config)], "steps=2.7 is not a finite int")
 
 
-def test_output_file(tmp_path):
-    target = tmp_path / "out.csv"
-    proc = run_cli(
-        "evolve", "--a", "0.1", "--b", "0.9", "--steps", "10", "--output", str(target)
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == ""
-    text = target.read_text()
-    assert text.startswith("t,r1,r2,r3,norm\n")
-    assert text.endswith("\n")
+def test_output_file(tmp_path, capsys):
+    # main writes each subcommand's output once, to stdout or to --output.
+    target = tmp_path / "out"
+    for argv in CLI_COMMANDS:
+        proc = run_cli(*argv)
+        assert cli.main([*argv, "--output", str(target)]) == proc.returncode, argv
+        assert capsys.readouterr().out == "", argv
+        assert target.read_bytes() == proc.stdout.encode(), argv
+
+
+def test_only_main_writes_output():
+    # Reading the config file is allowed; printing, writing to stdout and
+    # opening a file for writing happen in main only.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func == "open":
+                # A mode that is not a literal counts as writing.
+                modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                writes = any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+")
+                             for m in modes)
+            else:
+                writes = func in ("print", "sys.stdout.write")
+            if writes:
+                writers.add(getattr(top, "name", None))
+    assert writers == {"main"}
