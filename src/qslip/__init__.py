@@ -44,10 +44,8 @@ from .semigroup import (
     bloch_trajectory,
     classify,
     derive_params,
-    generator,
     norm_bound_curve,
     norm_bound_max,
-    propagate,
 )
 from .slippage import (
     CPReport,
@@ -86,7 +84,6 @@ __all__ = [
     "detect_windows",
     "eigenvalues_closed_form",
     "evolve_isotropic",
-    "generator",
     "integrate_master_2x2",
     "integrate_master_4x4",
     "is_completely_positive",
@@ -95,7 +92,6 @@ __all__ = [
     "norm_bound_curve",
     "norm_bound_max",
     "positivity_bound",
-    "propagate",
     "r1_curve",
     "r4_curve",
     "r4_max",

@@ -93,26 +93,27 @@ def _spectrum_entries(p: ModelParams, t, k):
     return decay * k.sqrt(1.0 + ratio * ratio * s * s), decay * ratio * s
 
 
-def _spectrum(p: ModelParams, mu: float, t):
-    """``(root, (e1, e2, e3, e4))`` of the evolved isotropic matrix; scalar or array t."""
-    root, signed = _spectrum_entries(p, *time_kernel(t))
+def _spectrum(p: ModelParams, mu: float, t, k):
+    """``(root, (e1, e2, e3, e4))`` of the evolved isotropic matrix for ``t, k = time_kernel(...)``."""
+    root, signed = _spectrum_entries(p, t, k)
     return root, (0.25 * (1.0 + mu * (1.0 + 2.0 * root)),
                   0.25 * (1.0 + mu * (1.0 - 2.0 * root)),
                   0.25 * (1.0 - mu * (1.0 - 2.0 * signed)),
                   0.25 * (1.0 - mu * (1.0 + 2.0 * signed)))
 
 
-def eigenvalues_closed_form(p: ModelParams, mu: float, t: float) -> Tuple[float, float, float, float]:
+def eigenvalues_closed_form(p: ModelParams, mu: float, t):
     """Closed-form eigenvalues (e1, e2, e3, e4) of the evolved isotropic matrix.
 
         e1,2 = [1 + mu (1 +- 2 exp(-2at) sqrt(1 + (b/Omega)^2 sin^2(2 Omega t)))]/4
         e3,4 = [1 - mu (1 -+ 2 exp(-2at) (b/Omega) sin(2 Omega t))]/4
 
     They sum to one identically; e3 and e4 swap roles when sin(2 Omega t)
-    changes sign.
+    changes sign.  A scalar t gives four floats, an array t four arrays.
     """
-    _, (e1, e2, e3, e4) = _spectrum(p, float(mu), t)
-    return float(e1), float(e2), float(e3), float(e4)
+    t, k = time_kernel(t)
+    _, (e1, e2, e3, e4) = _spectrum(p, float(mu), t, k)
+    return k.out(e1), k.out(e2), k.out(e3), k.out(e4)
 
 
 def r4_curve(p: ModelParams, t):
@@ -203,7 +204,7 @@ def concurrence_curve(p: ModelParams, mu: float, t):
     mu = float(mu)
     if not (0.0 <= mu <= 1.0):
         raise ValueError(f"isotropic parameter mu must lie in [0, 1], got {mu}")
-    root, eigs = _spectrum(p, mu, t)
+    root, eigs = _spectrum(p, mu, *time_kernel(t))
     gap = mu * root - (1.0 - mu) / 2.0
     curve = np.where(np.min(eigs, axis=0) < ISOTROPIC_EIG_FLOOR, np.nan, np.maximum(0.0, gap))
     return curve if curve.ndim else float(curve)
@@ -252,12 +253,12 @@ def rate_factor_max(p: ModelParams):
 
 
 def can_create_entanglement(p: ModelParams) -> bool:
-    """True iff max G > 0, i.e. a^2 < b^4 / (4 omega^2).
+    """True iff max G > 0, i.e. a^2 < b^4 / (4 omega^2), tested as 2 a omega < b^2:
 
-    Possible only for non-positive maps (a < b), since omega > b.
+    b^2 is finite wherever ModelParams admits omega, and an infinite 2 a omega
+    reads as no creation.  Possible only for non-positive maps (a < b), since omega > b.
     """
-    b2 = p.b * p.b
-    return p.a * p.a < b2 * b2 / (4.0 * p.omega * p.omega)
+    return 2.0 * p.a * p.omega < p.b * p.b
 
 
 def _window_f(p: ModelParams, t_offset, k):

@@ -92,11 +92,17 @@ def _json_doc(payload: dict) -> str:
 
 
 def _table(args, header: list[str], rows: list[list], report=None) -> str:
-    """Rows of floats (None for NA) as CSV or as a JSON table.
+    """Rows of finite floats (None for NA) as CSV or as a JSON table.
 
     A window report goes out as the CSV trailer ``# window_report: {...}``
-    or as the JSON key ``"report"``.
+    or as the JSON key ``"report"``.  A NaN or infinite value, where the
+    closed forms overflow for these inputs, raises ``ValueError``.
     """
+    finite = math.isfinite
+    if not all(x is None or finite(x) for row in rows for x in row):
+        i, name, x = next((i, name, x) for i, row in enumerate(rows)
+                          for name, x in zip(header, row) if not (x is None or finite(x)))
+        raise ValueError(f"{name}={x} in row {i} is not a finite float for these inputs")
     payload = {"columns": header, "rows": rows}
     if report is not None:
         payload["report"] = {"schema": SCHEMA_VERSION, **dataclasses.asdict(report)}
@@ -146,11 +152,10 @@ def _cmd_eigs(args, eff: dict) -> tuple[str, int]:
     _check_mu(mu)
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     _check_grid(eff["steps"], eff["t-max"], p.omega)
-    times = [k * eff["t-max"] / eff["steps"] for k in range(eff["steps"] + 1)]
-    rows = [
-        [t, *eigenvalues_closed_form(p, mu, t), None if math.isnan(conc) else conc]
-        for t, conc in zip(times, concurrence_curve(p, mu, np.array(times)).tolist())
-    ]
+    times = np.arange(eff["steps"] + 1) * eff["t-max"] / eff["steps"]
+    columns = [times, *eigenvalues_closed_form(p, mu, times), concurrence_curve(p, mu, times)]
+    rows = [[*row[:5], None if math.isnan(row[5]) else row[5]]
+            for row in np.column_stack(columns).tolist()]
     return _table(args, ["t", "e1", "e2", "e3", "e4", "concurrence"], rows), 0
 
 
@@ -180,12 +185,8 @@ def _cmd_evolve(args, eff: dict) -> tuple[str, int]:
     _check_grid(eff["steps"], eff["t-max"], p.omega)
     r0 = BlochVector(eff["r1"], eff["r2"], eff["r3"])
     times = np.linspace(0.0, eff["t-max"], eff["steps"] + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = bloch_trajectory(p, r0, times)
-        norms = np.sqrt((traj * traj).sum(axis=1))
-    if not (np.isfinite(traj).all() and np.isfinite(norms).all()):
-        raise ValueError("trajectory overflows: a Bloch component or the norm is not a finite "
-                         "float for this initial vector and these rates")
+    traj = bloch_trajectory(p, r0, times)
+    norms = np.sqrt((traj * traj).sum(axis=1))
     rows = np.column_stack([times, traj, norms]).tolist()
     return _table(args, ["t", "r1", "r2", "r3", "norm"], rows), 0
 
@@ -210,9 +211,19 @@ def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step
     yield "propagator_vs_rk4", dev <= tol_ode, f"max_dev={dev:.3e} tol={tol_ode:.1e}"
 
     sample_ts = np.linspace(0.0, t_max, 9).tolist()
-    dev = _max_dev([np.abs(np.sort(eigenvalues_closed_form(p, mu, t))
-                           - np.sort(qmat.hermitian_eigenvalues(evolve_isotropic(p, mu, t)))).max()
-                    for t in sample_ts])
+    # Jacobi spectrum of the evolved matrix against the closed form.  The
+    # partial transpose swaps the corners: its spectrum is the closed form at -mu.
+    def spectrum_dev(transpose: bool) -> float:
+        devs = []
+        for t in sample_ts:
+            matrix = evolve_isotropic(p, mu, t)
+            if transpose:
+                matrix = qmat.partial_transpose_first(matrix)
+            closed = eigenvalues_closed_form(p, -mu if transpose else mu, t)
+            devs.append(np.abs(np.sort(qmat.hermitian_eigenvalues(matrix)) - np.sort(closed)).max())
+        return _max_dev(devs)
+
+    dev = spectrum_dev(transpose=False)
     yield "eigenvalues_vs_jacobi", dev <= tol_alg, f"max_dev={dev:.3e} tol={tol_alg:.1e}"
 
     # Check at the requested mu and just inside the positivity bound, where
@@ -242,15 +253,7 @@ def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step
     dev = _max_dev(devs)
     yield "maxima_vs_golden_section", dev <= tol_max, f"max_dev={dev:.3e} tol={tol_max:.1e}"
 
-    # The partial transpose swaps the corners: its spectrum is the closed form
-    # at -mu.  `<=` per time fails a NaN deviation.
-    def ppt_deviation(t: float) -> float:
-        transposed = qmat.partial_transpose_first(evolve_isotropic(p, mu, t))
-        return np.abs(np.sort(qmat.hermitian_eigenvalues(transposed))
-                      - np.sort(eigenvalues_closed_form(p, -mu, t))).max()
-
-    ok = all(ppt_deviation(t) <= tol_alg for t in sample_ts)
-    yield "ppt_mu_sign_symmetry", ok, f"tol={tol_alg:.1e}"
+    yield "ppt_mu_sign_symmetry", spectrum_dev(transpose=True) <= tol_alg, f"tol={tol_alg:.1e}"
 
 
 def _cmd_verify(args, eff: dict) -> tuple[str, int]:
@@ -333,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text, code = _COMMANDS[args.command][0](args, _effective(args))
+        # Overflow reaches the output as inf or NaN, which _table rejects.
+        with np.errstate(all="ignore"):
+            text, code = _COMMANDS[args.command][0](args, _effective(args))
         if args.output is None or args.output == "-":
             sys.stdout.write(text)
         else:

@@ -21,10 +21,10 @@ last case Bloch vectors can leave the unit ball, with peak radius given by
 ``norm_bound_max``.  A converter from raw stochastic-field constants to the
 model rates is included.
 
-``bloch_propagator``, ``propagate``/``bloch_trajectory`` and
-``norm_bound_curve`` evaluate time through one scalar-or-array kernel
-(``qslip._timekernel``, which says how its scalar path stays bit-identical
-to the array path).
+``bloch_propagator`` and ``norm_bound_curve`` evaluate time through one
+scalar-or-array kernel (``qslip._timekernel``, which says how its scalar
+path stays bit-identical to the array path); ``bloch_trajectory`` takes an
+array of times only.
 """
 
 from __future__ import annotations
@@ -129,20 +129,6 @@ class BlochVector:
         if not (math.isfinite(self.r1) and math.isfinite(self.r2) and math.isfinite(self.r3)):
             raise ValueError("Bloch vector components must be finite")
 
-    def norm_squared(self) -> float:
-        return self.r1 * self.r1 + self.r2 * self.r2 + self.r3 * self.r3
-
-    @classmethod
-    def from_density_matrix(cls, rho) -> "BlochVector":
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-        return cls(
-            2.0 * rho[0, 1].real,
-            -2.0 * rho[0, 1].imag,
-            2.0 * rho[0, 0].real - 1.0,
-        )
-
     def to_density_matrix(self) -> np.ndarray:
         return 0.5 * (
             qmat.IDENTITY_2
@@ -221,17 +207,6 @@ def derive_params(s: StochasticFieldParams) -> DerivedRates:
     )
 
 
-def generator(p: ModelParams) -> np.ndarray:
-    """The 3x3 Bloch generator L = H + D (dr/dt = -2 L r)."""
-    return np.array(
-        [
-            [p.a, p.b + p.omega, 0.0],
-            [p.b - p.omega, p.a, 0.0],
-            [0.0, 0.0, 0.0],
-        ]
-    )
-
-
 def classify(p: ModelParams) -> Classification:
     """Positivity class from (a, b): CP iff b = 0, positive iff a >= b (that is
     a^2 >= b^2, tested without the squares, which underflow below 1.5e-162)."""
@@ -258,32 +233,17 @@ def bloch_propagator(p: ModelParams, t: float) -> np.ndarray:
     )
 
 
-def _bloch_components(p: ModelParams, r: BlochVector, t):
-    """Propagated (r1, r2) at t; r3 is constant."""
-    t, k = time_kernel(t)
-    big_omega = p.Omega
-    decay = k.exp(-2.0 * p.a * t)
-    c = k.cos(2.0 * big_omega * t)
-    s = k.sin(2.0 * big_omega * t)
-    r1 = decay * (r.r1 * c - r.r2 * (p.omega + p.b) / big_omega * s)
-    r2 = decay * (r.r1 * (p.omega - p.b) / big_omega * s + r.r2 * c)
-    return r1, r2
-
-
-def propagate(p: ModelParams, r: BlochVector, t: float) -> BlochVector:
-    """Closed-form image of a Bloch vector after time t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"propagation time must be >= 0, got {t}")
-    r1, r2 = _bloch_components(p, r, t)
-    return BlochVector(r1, r2, r.r3)
-
-
 def bloch_trajectory(p: ModelParams, r: BlochVector, times) -> np.ndarray:
-    """Closed-form trajectory sampled at an array of times, shape (n, 3)."""
+    """Closed-form trajectory sampled at an array of times >= 0, shape (n, 3)."""
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0.0:
         raise ValueError("trajectory times must be >= 0")
-    r1, r2 = _bloch_components(p, r, times)
+    big_omega = p.Omega
+    decay = np.exp(-2.0 * p.a * times)
+    c = np.cos(2.0 * big_omega * times)
+    s = np.sin(2.0 * big_omega * times)
+    r1 = decay * (r.r1 * c - r.r2 * (p.omega + p.b) / big_omega * s)
+    r2 = decay * (r.r1 * (p.omega - p.b) / big_omega * s + r.r2 * c)
     return np.stack([r1, r2, np.full_like(r1, r.r3)], axis=-1)
 
 

@@ -40,6 +40,18 @@ def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
     return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
 
 
+def bloch_of(states):
+    """Bloch vectors (n, 3) of a stack of 2x2 density matrices (n, 2, 2)."""
+    return np.stack(
+        [
+            2.0 * states[:, 0, 1].real,
+            -2.0 * states[:, 0, 1].imag,
+            2.0 * states[:, 0, 0].real - 1.0,
+        ],
+        axis=-1,
+    )
+
+
 def ppt_spectrum_deviation(p: ModelParams, mu: float, t: float) -> float:
     """Largest deviation of the Jacobi spectrum of the partially transposed
     evolved isotropic matrix from the closed-form eigenvalues at -mu (the

@@ -10,7 +10,8 @@ import sys
 
 import numpy as np
 
-from conftest import CLI_COMMANDS, FIGURE_PARAMS, ppt_spectrum_deviation, random_model_params
+from conftest import (CLI_COMMANDS, FIGURE_PARAMS, bloch_of, ppt_spectrum_deviation,
+                      random_model_params)
 from qslip import (
     BlochVector,
     Classification,
@@ -32,7 +33,6 @@ from qslip import (
     norm_bound_curve,
     norm_bound_max,
     positivity_bound,
-    propagate,
     r4_curve,
     r4_max,
     rate_factor_max,
@@ -219,7 +219,8 @@ def test_criterion_11_small_time_norm_law():
     for p in FIGURE_PARAMS:
         for r, rate in ((R_PLUS, p.a + p.b), (R_MINUS, p.a - p.b)):
             for t in (1e-4, 1e-3):
-                dev = abs(propagate(p, r, t).norm_squared() - (1.0 - 4.0 * t * rate))
+                r1, r2, r3 = bloch_trajectory(p, r, [t])[0].tolist()
+                dev = abs(r1 * r1 + r2 * r2 + r3 * r3 - (1.0 - 4.0 * t * rate))
                 worst_ratio = max(worst_ratio, dev / (t * t))
     _criterion(11, worst_ratio <= 50.0, f"|drift|/t^2 <= {worst_ratio:.2f} (allowed 50)")
 
@@ -229,9 +230,9 @@ def test_criterion_12_rk4_convergence_order():
 
     def final_error(step):
         traj = integrate_master_2x2(p, R_PLUS.to_density_matrix(), IntegratorConfig(step=step, t_max=1.0))
-        numeric = BlochVector.from_density_matrix(traj.states[-1])
-        analytic = propagate(p, R_PLUS, traj.times[-1])
-        return max(abs(numeric.r1 - analytic.r1), abs(numeric.r2 - analytic.r2), abs(numeric.r3 - analytic.r3))
+        numeric = bloch_of(traj.states[-1:])[0]
+        analytic = bloch_trajectory(p, R_PLUS, traj.times[-1:])[0]
+        return np.abs(numeric - analytic).max()
 
     ratio = final_error(4e-3) / final_error(2e-3)
     _criterion(12, 12.0 <= ratio <= 20.0, f"error ratio h/(h/2) = {ratio:.2f} in [12, 20]")

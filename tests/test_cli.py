@@ -215,9 +215,11 @@ def test_verify_fails_a_nan_maximum(capsys):
 def test_bounds_and_windows_reject_an_overflowing_peak_rate_factor(capsys):
     # G_max is inf from b of about 1.2e77 and NaN at 1e103 (omega = 2b),
     # where the window scan would otherwise fail in asin or drop every window.
+    # At omega = 1e154, 4 omega^2 overflows: the creation test must not use it.
     for argv, peak in ((["bounds", "--b", "1e78", "--omega", "2e78"], "inf"),
                        (["windows", "--b", "1e100", "--omega", "2e100", "--steps", "2"], "inf"),
-                       (["bounds", "--b", "1e103", "--omega", "2e103"], "nan")):
+                       (["bounds", "--b", "1e103", "--omega", "2e103"], "nan"),
+                       (["bounds", "--b", "1e153", "--omega", "1e154"], "nan")):
         assert cli.main([*argv, "--a", "0"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -227,14 +229,25 @@ def test_bounds_and_windows_reject_an_overflowing_peak_rate_factor(capsys):
 
 def test_evolve_rejects_an_overflowing_trajectory():
     # The closed form overflows in r1 (inf * 0 = NaN at t = 0) or in the norm.
-    for argv in (["--b", "0.9999999999", "--r1", "0", "--r2", "1e304"],
-                 ["--b", "0.5", "--r1", "1e300", "--r2", "1e300"],
-                 ["--b", "0.5", "--r1", "1e300", "--r2", "1e300", "--format", "json"]):
+    for argv, value in ((["--b", "0.9999999999", "--r1", "0", "--r2", "1e304"], "r1=nan"),
+                        (["--b", "0.5", "--r1", "1e300", "--r2", "1e300"], "norm=inf"),
+                        (["--b", "0.5", "--r1", "1e300", "--r2", "1e300", "--format", "json"],
+                         "norm=inf")):
         proc = run_cli("evolve", "--a", "0", "--steps", "3", *argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == ("error: trajectory overflows: a Bloch component or the norm is "
-                               "not a finite float for this initial vector and these rates\n")
+        assert proc.stderr == f"error: {value} in row 0 is not a finite float for these inputs\n"
+
+
+def test_windows_rejects_a_non_finite_rate_factor():
+    # No creation here (2 a omega > b^2), and G_max is NaN (b^2 hyp overflows),
+    # so every g row would print nan, after a numpy RuntimeWarning.
+    for fmt in ("csv", "json"):
+        proc = run_cli("windows", "--a", "3e152", "--b", "1e153", "--omega", "1e154",
+                       "--steps", "2", "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: g=nan in row 0 is not a finite float for these inputs\n"
 
 
 def test_bounds_figure_point():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_model_params
+from conftest import bloch_of, random_model_params
 from qslip import (
     BlochVector,
     IntegratorConfig,
@@ -31,18 +31,8 @@ from qslip.oracle import MAX_STEPS
 # Test-only surface that was removed from the package; none may come back.
 _DELETED_NAMES = ("kraus_operators", "kraus_apply", "apply_slippage", "identity_action",
                   "generator_split", "exit_rate", "as_array", "require_state",
-                  "symmetric_projector", "partial_transpose_spectrum_check")
-
-
-def bloch_of(states):
-    return np.stack(
-        [
-            2.0 * states[:, 0, 1].real,
-            -2.0 * states[:, 0, 1].imag,
-            2.0 * states[:, 0, 0].real - 1.0,
-        ],
-        axis=-1,
-    )
+                  "symmetric_projector", "partial_transpose_spectrum_check", "generator",
+                  "propagate", "from_density_matrix", "norm_squared")
 
 
 def test_config_validation():
@@ -437,6 +427,35 @@ def test_exports_match_what_the_package_binds():
         offenders += [f"{scope.__name__}.{name}" for scope in scopes
                       for name in _DELETED_NAMES if name in vars(scope)]
     assert offenders == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # Every public function and class of the package, and every public method
+    # of such a class, is referenced by name or attribute from a package
+    # module (not __init__, which only re-exports) or from the benchmark,
+    # whose files this reads only.  A name that only tests reach is surface
+    # the package does not need.
+    package = Path(qmat.__file__).parent
+    sources = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    sources += sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    public = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)) or top.name.startswith("_"):
+                continue
+            public.append((f"{path.stem}.{top.name}", top.name))
+            if isinstance(top, ast.ClassDef):
+                public += [(f"{path.stem}.{top.name}.{item.name}", item.name) for item in top.body
+                           if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    assert len(public) > 40
+    assert [full for full, name in public if name not in used] == []
 
 
 def test_benchmark_workloads_reach_only_existing_names():

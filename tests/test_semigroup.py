@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE_PARAMS, random_model_params
+from conftest import FIGURE_PARAMS, bloch_of, random_model_params
 from qslip import (
     BlochVector,
     Classification,
@@ -18,12 +18,10 @@ from qslip import (
     classify,
     derive_params,
     detect_windows,
-    generator,
     integrate_master_2x2,
     maximize_scalar,
     norm_bound_curve,
     norm_bound_max,
-    propagate,
     r4_max,
 )
 from qslip import qmat
@@ -32,8 +30,14 @@ R_PLUS = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
 R_MINUS = BlochVector(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
 
 
-def _vec(r: BlochVector) -> np.ndarray:
-    return np.array([r.r1, r.r2, r.r3])
+def _generator(p: ModelParams) -> np.ndarray:
+    """The 3x3 Bloch generator L (dr/dt = -2 L r), written out from the model."""
+    return np.array([[p.a, p.b + p.omega, 0.0], [p.b - p.omega, p.a, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _image(p: ModelParams, r: BlochVector, t: float) -> np.ndarray:
+    """Closed-form image of r after time t, from a one-point trajectory."""
+    return bloch_trajectory(p, r, [t])[0]
 
 
 def _exit_rate(p: ModelParams, r: BlochVector) -> float:
@@ -68,14 +72,6 @@ def test_model_params_reject_overflowing_omega():
     with pytest.raises(ValueError, match="give Omega=0.0, not finite and > 0"):
         ModelParams(0.1, 5e-201, 1e-200)
     assert 0.0 < ModelParams(0.1, 0.9, 1e154).Omega < np.inf
-
-
-def test_bloch_density_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        r = BlochVector(*rng.uniform(-0.5, 0.5, size=3))
-        back = BlochVector.from_density_matrix(r.to_density_matrix())
-        assert np.abs(_vec(back) - _vec(r)).max() <= 1e-15
 
 
 # ------------------------------------------------------- parameter converter
@@ -113,23 +109,11 @@ def test_stochastic_params_validation():
 
 # ----------------------------------------------------------------- generator
 
-def test_generator_matrix_and_split():
-    p = ModelParams(0.3, 0.2, 1.5)
-    full = generator(p)
-    expected = np.array([[0.3, 0.2 + 1.5, 0.0], [0.2 - 1.5, 0.3, 0.0], [0.0, 0.0, 0.0]])
-    assert np.abs(full - expected).max() == 0.0
-    # Hamiltonian (antisymmetric) and dissipative (symmetric) parts of L.
-    h, d = (full - full.T) / 2.0, (full + full.T) / 2.0
-    assert np.abs(full - h - d).max() <= 1e-15
-    assert np.abs(h - np.array([[0.0, 1.5, 0.0], [-1.5, 0.0, 0.0], [0.0, 0.0, 0.0]])).max() == 0.0
-    assert np.abs(d - np.array([[0.3, 0.2, 0.0], [0.2, 0.3, 0.0], [0.0, 0.0, 0.0]])).max() <= 1e-16
-
-
 def test_dissipative_part_spectrum():
     rng = np.random.default_rng(8)
     for _ in range(20):
         p = random_model_params(rng)
-        full = generator(p)
+        full = _generator(p)
         d = (full + full.T) / 2.0
         w = qmat.hermitian_eigenvalues(d.astype(complex))
         expected = np.sort([p.a + p.b, p.a - p.b, 0.0])[::-1]
@@ -141,29 +125,29 @@ def test_dissipative_part_spectrum():
 def test_propagate_identity_at_t0():
     p = ModelParams(0.1, 0.9)
     r = BlochVector(0.3, -0.2, 0.5)
-    assert np.abs(_vec(propagate(p, r, 0.0)) - _vec(r)).max() == 0.0
+    assert _image(p, r, 0.0).tolist() == [r.r1, r.r2, r.r3]
 
 
 def test_third_axis_is_fixed():
     p = ModelParams(0.2, 0.5)
     r = BlochVector(0.0, 0.0, 1.0)
     for t in (0.1, 1.0, 7.3):
-        out = propagate(p, r, t)
-        assert out.r1 == 0.0 and out.r2 == 0.0 and out.r3 == 1.0
+        r1, r2, r3 = _image(p, r, t)
+        assert r1 == 0.0 and r2 == 0.0 and r3 == 1.0
 
 
 def test_propagate_rejects_negative_time():
-    with pytest.raises(ValueError):
-        propagate(ModelParams(0.1, 0.9), R_PLUS, -0.1)
+    with pytest.raises(ValueError, match="trajectory times must be >= 0"):
+        bloch_trajectory(ModelParams(0.1, 0.9), R_PLUS, [0.0, -0.1])
 
 
 def test_propagate_matches_rk4_oracle():
     p = ModelParams(0.1, 0.9)
     cfg = IntegratorConfig(step=1e-4, t_max=0.3)
     traj = integrate_master_2x2(p, R_PLUS.to_density_matrix(), cfg)
-    final = BlochVector.from_density_matrix(traj.states[-1])
-    expected = propagate(p, R_PLUS, traj.times[-1])
-    assert np.abs(_vec(final) - _vec(expected)).max() <= 1e-8
+    final = bloch_of(traj.states[-1:])[0]
+    expected = _image(p, R_PLUS, traj.times[-1])
+    assert np.abs(final - expected).max() <= 1e-8
 
 
 def test_semigroup_law():
@@ -172,15 +156,15 @@ def test_semigroup_law():
         p = random_model_params(rng)
         r = BlochVector(*rng.uniform(-1.0, 1.0, size=3))
         s, t = rng.uniform(0.0, 3.0, size=2)
-        two_step = propagate(p, propagate(p, r, s), t)
-        one_step = propagate(p, r, s + t)
-        assert np.abs(_vec(two_step) - _vec(one_step)).max() <= 1e-10
+        two_step = _image(p, BlochVector(*_image(p, r, s)), t)
+        one_step = _image(p, r, s + t)
+        assert np.abs(two_step - one_step).max() <= 1e-10
 
 
 def test_analytic_propagator_equals_matrix_exponential():
     for p in FIGURE_PARAMS:
         for t in (0.0, 0.3, 1.1, 4.0):
-            numeric = scipy.linalg.expm(-2.0 * t * generator(p))
+            numeric = scipy.linalg.expm(-2.0 * t * _generator(p))
             assert np.abs(numeric - bloch_propagator(p, t)).max() <= 1e-10
 
 
@@ -189,16 +173,8 @@ def test_propagated_state_has_unit_trace():
     for _ in range(20):
         p = random_model_params(rng)
         r = BlochVector(*(0.9 * np.array([1, 1, 1]) * rng.uniform(-0.5, 0.5, size=3)))
-        rho = propagate(p, r, rng.uniform(0.0, 4.0)).to_density_matrix()
+        rho = BlochVector(*_image(p, r, rng.uniform(0.0, 4.0))).to_density_matrix()
         assert abs(np.trace(rho) - 1.0) <= 1e-14
-
-
-def test_trajectory_matches_pointwise_propagation():
-    p = ModelParams(0.3, 0.8)
-    times = np.linspace(0.0, 2.0, 17)
-    traj = bloch_trajectory(p, R_PLUS, times)
-    for t, row in zip(times, traj):
-        assert np.abs(row - _vec(propagate(p, R_PLUS, float(t)))).max() <= 1e-14
 
 
 # ------------------------------------------------------------ classification
@@ -255,17 +231,17 @@ def test_exit_rate_is_half_norm_squared_derivative():
         p = random_model_params(rng)
         r = BlochVector(*rng.uniform(-0.7, 0.7, size=3))
         t = rng.uniform(0.1, 2.0)
-        plus = propagate(p, r, t + h).norm_squared()
-        minus = propagate(p, r, t - h).norm_squared()
-        derivative = (plus - minus) / (2.0 * h)
-        assert abs(derivative - 2.0 * _exit_rate(p, propagate(p, r, t))) <= 1e-6
+        plus, minus, at_t = bloch_trajectory(p, r, [t + h, t - h, t])
+        derivative = (plus @ plus - minus @ minus) / (2.0 * h)
+        assert abs(derivative - 2.0 * _exit_rate(p, BlochVector(*at_t))) <= 1e-6
 
 
 def test_small_time_norm_expansion():
     for p in FIGURE_PARAMS:
         for r, rate in ((R_PLUS, p.a + p.b), (R_MINUS, p.a - p.b)):
             for t in (1e-4, 1e-3):
-                drift = propagate(p, r, t).norm_squared() - (1.0 - 4.0 * t * rate)
+                image = _image(p, r, t)
+                drift = image @ image - (1.0 - 4.0 * t * rate)
                 assert abs(drift) <= 50.0 * t * t
 
 
@@ -284,7 +260,7 @@ def test_norm_bound_curve_small_b_contracts():
 def test_norm_bound_curve_matches_gram_matrix():
     p = ModelParams(0.1, 0.9)
     for t in (0.2, 0.7, 1.9):
-        g = scipy.linalg.expm(-2.0 * t * generator(p))
+        g = scipy.linalg.expm(-2.0 * t * _generator(p))
         gram = (g.T @ g).astype(complex)
         w_full = qmat.hermitian_eigenvalues(gram)
         w_block = qmat.hermitian_eigenvalues(gram[:2, :2])

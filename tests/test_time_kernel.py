@@ -11,7 +11,6 @@ a*t, and times whose phase 2 Omega t overflows to inf.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +25,6 @@ from qslip import (
     eigenvalues_closed_form,
     norm_bound_curve,
     positivity_bound,
-    propagate,
     r1_curve,
     r4_curve,
     window_functions,
@@ -84,7 +82,6 @@ def _scalar_forms(t):
 def test_scalar_calls_match_array_elements(case):
     p, mu_fraction, times = case
     mu = mu_fraction * positivity_bound(p)
-    r = BlochVector(0.6, -0.3, 0.5)
     grid = np.array(times)
     with np.errstate(invalid="ignore", over="ignore"):
         curves = {
@@ -94,30 +91,24 @@ def test_scalar_calls_match_array_elements(case):
             norm_bound_curve: norm_bound_curve(p, grid),
         }
         windows = window_functions(p, grid)
+        eigenvalues = eigenvalues_closed_form(p, mu, grid)
         concurrence = concurrence_curve(p, mu, grid)
-        trajectory = bloch_trajectory(p, r, grid)
         for i, t in enumerate(times):
             zero_d = np.array(t)
             for ts in _scalar_forms(t):
                 for fn, values in curves.items():
                     _check(fn(p, ts), values[i])
                     _check(fn(p, zero_d), values[i])
-                for got, got_0d, values in zip(window_functions(p, ts),
-                                               window_functions(p, zero_d), windows):
-                    _check(got, values[i])
-                    _check(got_0d, values[i])
+                for scalar, scalar_0d, arrays in (
+                    (window_functions(p, ts), window_functions(p, zero_d), windows),
+                    (eigenvalues_closed_form(p, mu, ts), eigenvalues_closed_form(p, mu, zero_d),
+                     eigenvalues),
+                ):
+                    for got, got_0d, values in zip(scalar, scalar_0d, arrays):
+                        _check(got, values[i])
+                        _check(got_0d, values[i])
                 _check(concurrence_curve(p, mu, ts), concurrence[i])
-                if np.isfinite(trajectory[i]).all():
-                    image = propagate(p, r, ts)
-                    for got, reference in zip((image.r1, image.r2, image.r3), trajectory[i]):
-                        _check(got, reference)
-                else:
-                    with pytest.raises(ValueError, match="must be finite"):
-                        propagate(p, r, ts)
-                # Scalar-only forms: the float call against the 0-d numpy call.
-                for got, reference in zip(eigenvalues_closed_form(p, mu, ts),
-                                          eigenvalues_closed_form(p, mu, zero_d)):
-                    _check(got, reference)
+                # The scalar-only form: the float call against the 0-d numpy call.
                 _check(concurrence_closed_form(p, mu, ts), concurrence_closed_form(p, mu, zero_d))
 
 
