@@ -2,7 +2,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qslip import ModelParams, choi_matrix, evolve_isotropic, qmat, semigroup_action
+from qslip import (
+    ModelParams,
+    SlippageChannel,
+    choi_matrix,
+    compose_actions,
+    evolve_isotropic,
+    positivity_bound,
+    qmat,
+    semigroup_action,
+    slippage_action,
+)
+
+# The eight entries off the two 2x2 blocks {0, 3} and {1, 2} of a 4x4.
+OFF_X = np.ones((4, 4), dtype=bool)
+OFF_X[[0, 0, 1, 1, 2, 2, 3, 3], [0, 3, 1, 2, 1, 2, 0, 3]] = False
 
 
 def random_hermitian(rng, n):
@@ -81,6 +95,13 @@ def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
     monkeypatch.setattr(qmat, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
         qmat.hermitian_eig(m)
+    # One rotation per block diagonalizes an X-shaped state, so only a cap
+    # of 0 stops it short.
+    x_shaped = evolve_isotropic(ModelParams(0.1, 0.9), 0.8, 0.7)
+    monkeypatch.setattr(qmat, "JACOBI_MAX_SWEEPS", 0)
+    for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
+        with pytest.raises(RuntimeError, match="did not converge in 0 sweeps"):
+            solve(x_shaped)
 
 
 def test_non_hermitian_rejected():
@@ -90,11 +111,15 @@ def test_non_hermitian_rejected():
 
 
 def test_infinite_entry_rejected():
-    # inf - inf gives a NaN Hermiticity defect, which must not pass the check.
-    m = np.diag([np.inf, 1.0, 1.0, 1.0])
-    for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
-        with pytest.raises(ValueError, match="not Hermitian: defect nan"):
-            solve(m)
+    # inf - inf gives a NaN Hermiticity defect, which must not pass the check,
+    # on the diagonal and in a block of an X-shaped state.
+    x_shaped = evolve_isotropic(ModelParams(0.1, 0.9), 0.8, 0.7)
+    x_shaped[1, 2] = x_shaped[2, 1] = np.inf
+    assert not x_shaped[OFF_X].any()
+    for m in (np.diag([np.inf, 1.0, 1.0, 1.0]), x_shaped):
+        for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
+            with pytest.raises(ValueError, match="not Hermitian: defect nan"):
+                solve(m)
 
 
 def test_nan_matrix_rejected():
@@ -105,6 +130,10 @@ def test_nan_matrix_rejected():
         m = np.eye(4, dtype=complex)
         m[i, j] = np.nan
         cases.append(m)
+    x_shaped = evolve_isotropic(ModelParams(0.1, 0.9), 0.8, 0.7)
+    x_shaped[0, 3] = np.nan  # inside a block, where the X-shaped layout looks
+    assert not x_shaped[OFF_X].any()
+    cases.append(x_shaped)
     for m in cases:
         for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
             with pytest.raises(ValueError, match="not Hermitian: defect nan"):
@@ -195,3 +224,119 @@ def test_jacobi_bits_are_pinned():
         assert [x.hex() for x in w.tolist()] == list(pinned_w)
         assert [x.hex() for x in qmat.hermitian_eigenvalues(m).tolist()] == list(pinned_w)
         assert [(z.real.hex(), z.imag.hex()) for z in v.ravel().tolist()] == list(pinned_v)
+
+
+# As above, for the partial transpose of an evolved isotropic state, the
+# Choi matrix of a slipped semigroup map and a diagonal input (no pivot is
+# nonzero, so nothing rotates), taken before the X-shaped 4x4s swept only
+# their {0, 3} and {1, 2} blocks.
+_PINNED_PT_W = (
+    '0x1.b911bfaa0c651p-1', '0x1.2d6dbae03d610p-1',
+    '0x1.3bb0d22c067b0p-5', '-0x1.f4750f5a145bap-2',
+)
+_PINNED_PT_V = (  # (real, imag) of each entry, row by row
+    ('0x0.0p+0', '-0x1.6a09e667f3bccp-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.7f066452205ddp-2', '0x1.333cd6148e50fp-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('-0x1.7f066452205ddp-2', '0x1.333cd6148e50fp-1'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '-0x1.6a09e667f3bccp-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+)
+_PINNED_CHOI_W = (
+    '0x1.1af6a3892dd6dp-1', '0x1.c75529ed6dd02p-3',
+    '0x1.942571db48a4ap-3', '0x1.c556b094917e0p-6',
+)
+_PINNED_CHOI_V = (  # (real, imag) of each entry, row by row
+    ('-0x1.274b1769fbc64p-2', '-0x1.4a9058de1f158p-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '0x1.6a09e667f3bccp-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x0.0p+0', '0x1.6a09e667f3bccp-1'),
+    ('0x1.6a09e667f3bccp-1', '0x0.0p+0'),
+    ('0x0.0p+0', '0x0.0p+0'),
+    ('0x1.274b1769fbc64p-2', '-0x1.4a9058de1f158p-1'),
+    ('0x0.0p+0', '0x0.0p+0'),
+)
+_PINNED_DIAGONAL_W = (
+    '0x1.999999999999ap-2', '0x1.999999999999ap-3',
+    '0x1.999999999999ap-4', '-0x1.3333333333333p-2',
+)
+
+
+def test_jacobi_bits_are_pinned_on_x_shaped_and_diagonal_inputs():
+    p = ModelParams(0.1, 0.9)
+    slipped = compose_actions(semigroup_action(ModelParams(0.2, 0.6))(1.3),
+                              slippage_action(SlippageChannel(0.5)))
+    diagonal_v = np.eye(4, dtype=complex)[:, [1, 3, 0, 2]]
+    cases = (
+        (qmat.partial_transpose_first(evolve_isotropic(p, 0.8, 0.7)), _PINNED_PT_W, _PINNED_PT_V),
+        (choi_matrix(slipped), _PINNED_CHOI_W, _PINNED_CHOI_V),
+        (np.diag([0.1, 0.4, -0.3, 0.2]).astype(complex), _PINNED_DIAGONAL_W,
+         tuple((z.real.hex(), z.imag.hex()) for z in diagonal_v.ravel().tolist())),
+    )
+    for m, pinned_w, pinned_v in cases:
+        w, v = qmat.hermitian_eig(m)
+        assert [x.hex() for x in w.tolist()] == list(pinned_w)
+        assert [x.hex() for x in qmat.hermitian_eigenvalues(m).tolist()] == list(pinned_w)
+        assert [(z.real.hex(), z.imag.hex()) for z in v.ravel().tolist()] == list(pinned_v)
+
+
+def test_x_shaped_and_block_diagonal_permutation_give_equal_bits():
+    # Permuting rows and columns by (0, 3, 1, 2) turns the X into two
+    # diagonal blocks, whose nonzero (0, 1) entry sends the solver down the
+    # dense layout.  Both rotate the same two blocks with the same
+    # arithmetic, so the eigenvalues agree to the bit; only the residual
+    # sums their terms in another order, so the sample is seeded.
+    rng = np.random.default_rng(31)
+    perm = (0, 3, 1, 2)
+    cases = []
+    for _ in range(100):
+        m = np.diag(rng.normal(size=4)).astype(complex)
+        for i, j in ((0, 3), (1, 2)):
+            m[i, j] = complex(*rng.normal(size=2))
+            m[j, i] = m[i, j].conjugate()
+        cases.append(m)
+    for _ in range(40):
+        p = ModelParams(rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.95))
+        cases.append(evolve_isotropic(p, rng.uniform(0.0, 1.0), rng.uniform(0.0, 5.0)))
+    for m in cases:
+        assert not m[OFF_X].any()
+        blocks = m[np.ix_(perm, perm)]
+        assert blocks[0, 1] != 0.0 or blocks[2, 3] != 0.0
+        for solve in (qmat.hermitian_eigenvalues, lambda x: qmat.hermitian_eig(x)[0]):
+            assert solve(m).tobytes() == solve(blocks).tobytes()
+
+
+def test_oracle_inputs_are_x_shaped():
+    # The sweeps take their fast layout only on inputs whose eight off-block
+    # entries are exact zeros; a change that fills them in must fail here
+    # rather than quietly cost the oracles the dense sweeps.
+    rng = np.random.default_rng(43)
+    for k in range(60):
+        omega = rng.uniform(0.5, 2.0)
+        b = 0.0 if k % 4 == 1 else rng.uniform(0.05, 0.95) * omega
+        a = 0.0 if k % 4 == 0 else rng.uniform(0.0, 1.0)
+        t = 0.0 if k % 4 == 2 else rng.uniform(0.0, 5.0)
+        p = ModelParams(a, b, omega)
+        rho = evolve_isotropic(p, rng.uniform(0.0, 1.0) * positivity_bound(p), t)
+        slipped = compose_actions(semigroup_action(p)(t),
+                                  slippage_action(SlippageChannel(positivity_bound(p))))
+        for m in (rho, qmat.partial_transpose_first(rho), choi_matrix(slipped)):
+            assert np.count_nonzero(m[OFF_X]) == 0
