@@ -67,7 +67,7 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     (outer) and 2*mu*C_t (inner) from the analytically propagated Pauli
     images; at t = 0 this is ``isotropic(mu)``.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
     mu = float(mu)
     t, k = time_kernel(float(t))
@@ -180,7 +180,7 @@ def concurrence_closed_form(p: ModelParams, mu: float, t: float) -> float:
     computation on the explicit matrix.
     """
     mu = float(mu)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"evolution time must be >= 0, got {t}")
     bound = positivity_bound(p)
     if not (0.0 <= mu <= bound + 1e-12):

@@ -23,31 +23,12 @@ import sys
 
 import numpy as np
 
-from . import qmat
-from .bipartite import (
-    concurrence_curve,
-    detect_windows,
-    eigenvalues_closed_form,
-    evolve_isotropic,
-    positivity_bound,
-    r4_curve,
-    r4_max,
-    rate_factor_max,
-    concurrence_wootters,
-    window_functions,
-)
-from .oracle import (MAX_STEPS, IntegratorConfig, integrate_master_2x2, maximize_scalar,
-                     rate_factor_product_form)
-from .semigroup import (
-    BlochVector,
-    ModelParams,
-    StochasticFieldParams,
-    bloch_trajectory,
-    classify,
-    derive_params,
-    norm_bound_curve,
-    norm_bound_max,
-)
+from . import crosscheck
+from .bipartite import (concurrence_curve, detect_windows, eigenvalues_closed_form,
+                        positivity_bound, r4_max, window_functions)
+from .oracle import MAX_STEPS, IntegratorConfig
+from .semigroup import (BlochVector, ModelParams, StochasticFieldParams, bloch_trajectory,
+                        classify, derive_params, norm_bound_max)
 
 SCHEMA_VERSION = 1
 
@@ -191,77 +172,30 @@ def _cmd_evolve(args, eff: dict) -> tuple[str, int]:
     return _table(args, ["t", "r1", "r2", "r3", "norm"], rows), 0
 
 
-def _max_dev(devs: list) -> float:
-    """Largest deviation, 0 for none; NaN if any is NaN, which builtin max() can drop."""
-    return float(np.max(devs, initial=0.0))
-
-
-def _verify_checks(p: ModelParams, mu: float, tol_ode: float, t_max: float, step: float):
-    """Run the oracle cross-check suite; yields (name, passed, detail)."""
-    tol_alg = 1e-10
-    tol_max = 1e-6
-
-    cfg = IntegratorConfig(step=step, t_max=t_max)
-    r0 = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
-    traj = integrate_master_2x2(p, r0.to_density_matrix(), cfg)
-    rho01, rho00 = traj.states[:, 0, 1], traj.states[:, 0, 0].real
-    numeric = np.stack([2.0 * rho01.real, -2.0 * rho01.imag, 2.0 * rho00 - 1.0], axis=-1)
-    analytic = bloch_trajectory(p, r0, traj.times)
-    dev = float(np.abs(numeric - analytic).max())
-    yield "propagator_vs_rk4", dev <= tol_ode, f"max_dev={dev:.3e} tol={tol_ode:.1e}"
-
-    sample_ts = np.linspace(0.0, t_max, 9).tolist()
-    # Jacobi spectrum of the evolved matrix against the closed form.  The
-    # partial transpose swaps the corners: its spectrum is the closed form at -mu.
-    def spectrum_dev(transpose: bool) -> float:
-        devs = []
-        for t in sample_ts:
-            matrix = evolve_isotropic(p, mu, t)
-            if transpose:
-                matrix = qmat.partial_transpose_first(matrix)
-            closed = eigenvalues_closed_form(p, -mu if transpose else mu, t)
-            devs.append(np.abs(np.sort(qmat.hermitian_eigenvalues(matrix)) - np.sort(closed)).max())
-        return _max_dev(devs)
-
-    dev = spectrum_dev(transpose=False)
-    yield "eigenvalues_vs_jacobi", dev <= tol_alg, f"max_dev={dev:.3e} tol={tol_alg:.1e}"
-
-    # Check at the requested mu and just inside the positivity bound, where
-    # the concurrence is typically nonzero.
-    devs = []
-    for mu_check in dict.fromkeys((mu, 0.999 * positivity_bound(p))):
-        for t in sample_ts:
-            closed = concurrence_curve(p, mu_check, t)
-            if not math.isnan(closed):
-                devs.append(abs(closed - concurrence_wootters(evolve_isotropic(p, mu_check, t))))
-    dev = _max_dev(devs)
-    yield ("concurrence_closed_vs_wootters", dev <= tol_alg and len(devs) > 0,
-           f"max_dev={dev:.3e} tol={tol_alg:.1e} points={len(devs)}")
-
-    # An argmax is compared only where it is unique: the closed form gives
-    # no peak time of R(t) for positive maps (a >= b), and R4(t) = 1 and
-    # G(t) = -a are flat at b = 0.
-    bracket = math.pi / (2.0 * p.Omega)
-    devs = []
-    for (peak, t_peak), curve, unique in (
-        (norm_bound_max(p), lambda t: math.sqrt(norm_bound_curve(p, t)), p.a < p.b),
-        (r4_max(p), lambda t: r4_curve(p, t), p.b > 0.0),
-        (rate_factor_max(p), lambda t: rate_factor_product_form(p, t), p.b > 0.0),
-    ):
-        t_num, v_num = maximize_scalar(curve, 0.0, bracket)
-        devs += [abs(peak - v_num), abs(t_peak - t_num) if unique else 0.0]
-    dev = _max_dev(devs)
-    yield "maxima_vs_golden_section", dev <= tol_max, f"max_dev={dev:.3e} tol={tol_max:.1e}"
-
-    yield "ppt_mu_sign_symmetry", spectrum_dev(transpose=True) <= tol_alg, f"tol={tol_alg:.1e}"
-
-
 def _cmd_verify(args, eff: dict) -> tuple[str, int]:
-    _check_mu(eff["mu"])
-    if not (0.0 < eff["tol"] < math.inf):
-        raise ValueError(f"tol must be finite and > 0, got {eff['tol']}")
+    mu, tol_ode, t_max = eff["mu"], eff["tol"], eff["t-max"]
+    _check_mu(mu)
+    if not (0.0 < tol_ode < math.inf):
+        raise ValueError(f"tol must be finite and > 0, got {tol_ode}")
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
-    checks = list(_verify_checks(p, eff["mu"], eff["tol"], eff["t-max"], eff["step"]))
+    tol_alg, tol_max = 1e-10, 1e-6
+    r0 = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
+    rk4 = crosscheck.propagator_vs_rk4(p, r0, IntegratorConfig(step=eff["step"], t_max=t_max))
+    sample_ts = np.linspace(0.0, t_max, 9).tolist()
+    spectrum = crosscheck.spectrum_vs_jacobi(p, mu, sample_ts)
+    # Also just inside the positivity bound, where the concurrence is typically nonzero.
+    concurrence, points = crosscheck.concurrence_vs_wootters(
+        p, dict.fromkeys((mu, 0.999 * positivity_bound(p))), sample_ts)
+    maxima = crosscheck.maxima_vs_golden_section(p)
+    ppt = crosscheck.spectrum_vs_jacobi(p, mu, sample_ts, transposed=True)
+    checks = [
+        ("propagator_vs_rk4", rk4 <= tol_ode, f"max_dev={rk4:.3e} tol={tol_ode:.1e}"),
+        ("eigenvalues_vs_jacobi", spectrum <= tol_alg, f"max_dev={spectrum:.3e} tol={tol_alg:.1e}"),
+        ("concurrence_closed_vs_wootters", concurrence <= tol_alg and points > 0,
+         f"max_dev={concurrence:.3e} tol={tol_alg:.1e} points={points}"),
+        ("maxima_vs_golden_section", maxima <= tol_max, f"max_dev={maxima:.3e} tol={tol_max:.1e}"),
+        ("ppt_mu_sign_symmetry", ppt <= tol_alg, f"tol={tol_alg:.1e}"),
+    ]
     lines = [f"{'PASS' if ok else 'FAIL'}  {name:<32} {detail}" for name, ok, detail in checks]
     failures = sum(not ok for _, ok, _ in checks)
     lines.append(f"{failures} check(s) failed" if failures else "all checks passed")

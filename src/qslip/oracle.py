@@ -28,6 +28,7 @@ MAX_STEPS = 1_000_000
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _COARSE_POINTS = 1000
+_BRACKET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,23 +186,21 @@ def integrate_master_4x4(p: ModelParams, rho0, cfg: IntegratorConfig) -> Traject
     return _integrate(p, rho0, cfg, s1, s2, s3)
 
 
-def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float, tol: float = 1e-10):
+def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float):
     """Deterministic maximizer: 1000-point coarse grid, then golden section.
 
     The coarse grid locates the best bracket (beating the oscillation scale
     of every curve in this package), and golden-section search refines it to
-    width ``tol``, or until the float bracket stops shrinking, since far from
-    zero ``tol`` can lie below the float spacing.  Returns ``(t_at_max, value)``.
+    width ``_BRACKET_TOL``, or until the float bracket stops shrinking, since
+    far from zero that width can lie below the float spacing.  Returns ``(t_at_max, value)``.
     """
     if not (t_lo < t_hi):
         raise ValueError(f"need t_lo < t_hi, got {t_lo} >= {t_hi}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
     grid = np.linspace(t_lo, t_hi, _COARSE_POINTS).tolist()  # Python floats, as fn prefers
     best = int(np.argmax([fn(t) for t in grid]))
     lo = grid[best - 1] if best > 0 else grid[0]
     hi = grid[best + 1] if best < len(grid) - 1 else grid[-1]
-    while hi - lo > tol:
+    while hi - lo > _BRACKET_TOL:
         c = hi - (hi - lo) / _GOLDEN
         d = lo + (hi - lo) / _GOLDEN
         if not lo < c < d < hi:

@@ -236,7 +236,7 @@ def bloch_propagator(p: ModelParams, t: float) -> np.ndarray:
 def bloch_trajectory(p: ModelParams, r: BlochVector, times) -> np.ndarray:
     """Closed-form trajectory sampled at an array of times >= 0, shape (n, 3)."""
     times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0.0:
+    if times.size and not times.min() >= 0.0:
         raise ValueError("trajectory times must be >= 0")
     big_omega = p.Omega
     decay = np.exp(-2.0 * p.a * times)

@@ -109,7 +109,7 @@ def is_completely_positive(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("time grid must not be empty")
-    if t_grid.min() < 0.0:
+    if not t_grid.min() >= 0.0:
         raise ValueError("time grid values must be >= 0")
     worst_t, worst_eig = float(t_grid[0]), math.inf
     for t in t_grid.tolist():

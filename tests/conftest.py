@@ -1,6 +1,6 @@
 import numpy as np
 
-from qslip import ModelParams, eigenvalues_closed_form, evolve_isotropic, qmat
+from qslip import ModelParams, qmat
 
 _PAULI_BASIS = np.stack((qmat.IDENTITY_2, qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3))
 
@@ -50,15 +50,6 @@ def bloch_of(states):
         ],
         axis=-1,
     )
-
-
-def ppt_spectrum_deviation(p: ModelParams, mu: float, t: float) -> float:
-    """Largest deviation of the Jacobi spectrum of the partially transposed
-    evolved isotropic matrix from the closed-form eigenvalues at -mu (the
-    transpose swaps the corners); NaN if either side holds a NaN."""
-    transposed = qmat.partial_transpose_first(evolve_isotropic(p, mu, t))
-    return float(np.abs(np.sort(qmat.hermitian_eigenvalues(transposed))
-                        - np.sort(eigenvalues_closed_form(p, -mu, t))).max())
 
 
 def pauli_images(action) -> np.ndarray:

@@ -10,8 +10,7 @@ import sys
 
 import numpy as np
 
-from conftest import (CLI_COMMANDS, FIGURE_PARAMS, bloch_of, ppt_spectrum_deviation,
-                      random_model_params)
+from conftest import CLI_COMMANDS, FIGURE_PARAMS, bloch_of, random_model_params
 from qslip import (
     BlochVector,
     Classification,
@@ -22,26 +21,19 @@ from qslip import (
     can_create_entanglement,
     classify,
     compose_actions,
-    concurrence_closed_form,
-    concurrence_wootters,
     detect_windows,
-    eigenvalues_closed_form,
-    evolve_isotropic,
     integrate_master_2x2,
     is_completely_positive,
     maximize_scalar,
     norm_bound_curve,
     norm_bound_max,
     positivity_bound,
-    r4_curve,
-    r4_max,
-    rate_factor_max,
     rate_factor_product_form,
     semigroup_action,
     slippage_action,
     window_functions,
 )
-from qslip import qmat
+from qslip import crosscheck
 
 R_PLUS = BlochVector(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0)
 R_MINUS = BlochVector(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0)
@@ -87,48 +79,34 @@ def test_criterion_02_figure_caption_radius():
 
 
 def test_criterion_03_propagator_vs_rk4():
-    worst = 0.0
-    for p in FIGURE_PARAMS:
-        traj = integrate_master_2x2(
-            p, R_PLUS.to_density_matrix(), IntegratorConfig(step=1e-4, t_max=5.0)
-        )
-        numeric = np.stack(
-            [
-                2.0 * traj.states[:, 0, 1].real,
-                -2.0 * traj.states[:, 0, 1].imag,
-                2.0 * traj.states[:, 0, 0].real - 1.0,
-            ],
-            axis=-1,
-        )
-        analytic = bloch_trajectory(p, R_PLUS, traj.times)
-        worst = max(worst, float(np.abs(numeric - analytic).max()))
+    cfg = IntegratorConfig(step=1e-4, t_max=5.0)
+    worst = float(np.max([crosscheck.propagator_vs_rk4(p, R_PLUS, cfg) for p in FIGURE_PARAMS]))
     _criterion(3, worst <= 1e-8, f"sup deviation {worst:.3e} <= 1e-8, step 1e-4, t in [0,5]")
 
 
 def test_criterion_04_spectrum_closed_forms():
     rng = np.random.default_rng(104)
-    worst = 0.0
+    devs = []
     for _ in range(1000):
         p = random_model_params(rng)
         mu = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, 5.0)
-        closed = np.sort(eigenvalues_closed_form(p, mu, t))
-        numeric = np.sort(qmat.hermitian_eigenvalues(evolve_isotropic(p, mu, t)))
-        worst = max(worst, float(np.abs(closed - numeric).max()))
+        devs.append(crosscheck.spectrum_vs_jacobi(p, mu, [rng.uniform(0.0, 5.0)]))
+    worst = float(np.max(devs))
     _criterion(4, worst <= 1e-10, f"1000 draws, max deviation {worst:.3e} <= 1e-10")
 
 
 def test_criterion_05_concurrence_equivalence():
     rng = np.random.default_rng(105)
-    worst = 0.0
+    devs, points = [], 0
     for _ in range(1000):
         p = random_model_params(rng)
         mu = rng.uniform(0.0, 1.0) * positivity_bound(p)
-        t = rng.uniform(0.0, 5.0)
-        closed = concurrence_closed_form(p, mu, t)
-        woot = concurrence_wootters(evolve_isotropic(p, mu, t))
-        worst = max(worst, abs(closed - woot))
-    _criterion(5, worst <= 1e-10, f"1000 draws, max deviation {worst:.3e} <= 1e-10")
+        dev, n = crosscheck.concurrence_vs_wootters(p, [mu], [rng.uniform(0.0, 5.0)])
+        devs.append(dev)
+        points += n
+    worst = float(np.max(devs))
+    _criterion(5, worst <= 1e-10 and points == 1000,
+               f"{points} draws, max deviation {worst:.3e} <= 1e-10")
 
 
 def test_criterion_06_partial_transpose_symmetry():
@@ -137,24 +115,12 @@ def test_criterion_06_partial_transpose_symmetry():
     for _ in range(200):
         p = random_model_params(rng)
         mu = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, 5.0)
-        ok &= ppt_spectrum_deviation(p, mu, t) <= 1e-10
+        ok &= crosscheck.spectrum_vs_jacobi(p, mu, [rng.uniform(0.0, 5.0)], transposed=True) <= 1e-10
     _criterion(6, ok, "200 draws, transposed spectrum = closed forms at -mu, 1e-10")
 
 
 def test_criterion_07_maxima_match_golden_section():
-    worst = 0.0
-    for p in FIGURE_PARAMS:
-        bracket = math.pi / (2.0 * p.Omega)
-        radius, t_prime = norm_bound_max(p)
-        t_num, v_num = maximize_scalar(lambda t: math.sqrt(norm_bound_curve(p, t)), 0.0, bracket)
-        worst = max(worst, abs(radius - v_num), abs(t_prime - t_num))
-        peak4, t_star = r4_max(p)
-        t_num, v_num = maximize_scalar(lambda t: r4_curve(p, t), 0.0, bracket)
-        worst = max(worst, abs(peak4 - v_num), abs(t_star - t_num))
-        peak_g, t_bar = rate_factor_max(p)
-        t_num, v_num = maximize_scalar(lambda t: rate_factor_product_form(p, t), 0.0, bracket)
-        worst = max(worst, abs(peak_g - v_num), abs(t_bar - t_num))
+    worst = float(np.max([crosscheck.maxima_vs_golden_section(p) for p in FIGURE_PARAMS]))
     _criterion(7, worst <= 1e-6, f"(R,t'), (R4,t*), (G,t_bar) vs maximizer: {worst:.3e} <= 1e-6")
 
 

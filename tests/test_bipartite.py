@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import FIGURE_PARAMS, pauli_images, ppt_spectrum_deviation, random_model_params
+from conftest import FIGURE_PARAMS, pauli_images, random_model_params
 from qslip import (
+    BlochVector,
     IntegratorConfig,
     ModelParams,
+    bloch_trajectory,
     can_create_entanglement,
     concurrence_closed_form,
     concurrence_curve,
@@ -17,6 +19,7 @@ from qslip import (
     eigenvalues_closed_form,
     evolve_isotropic,
     integrate_master_4x4,
+    is_completely_positive,
     isotropic,
     maximize_scalar,
     norm_bound_curve,
@@ -29,7 +32,7 @@ from qslip import (
     semigroup_action,
     window_functions,
 )
-from qslip import bipartite, qmat
+from qslip import bipartite, crosscheck, qmat
 
 # Closed-form spectrum at (a=0.1, b=0.9, omega=1, mu=0.2, t=0.5), frozen
 # from an independent evaluation of the eigenvalue formulas.
@@ -93,6 +96,18 @@ def test_evolve_rejects_negative_time():
         evolve_isotropic(ModelParams(0.1, 0.9), 0.2, -1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t: concurrence_closed_form(ModelParams(0.1, 0.9), 0.2, t),
+    lambda t: evolve_isotropic(ModelParams(0.1, 0.9), 0.2, t),
+    lambda t: bloch_trajectory(ModelParams(0.1, 0.9), BlochVector(0.5, 0.5, 0.0), [0.0, t]),
+    lambda t: is_completely_positive(semigroup_action(ModelParams(0.1, 0.9)), [0.0, t]),
+], ids=["concurrence_closed_form", "evolve_isotropic", "bloch_trajectory", "is_completely_positive"])
+def test_nan_time_is_rejected(call):
+    # NaN < 0 is false, so each time check is written to fail on NaN too.
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call(math.nan)
+
+
 def test_evolve_matches_rk4_oracle():
     p = ModelParams(0.1, 0.9)
     traj = integrate_master_4x4(p, isotropic(0.2), IntegratorConfig(step=1e-4, t_max=0.5))
@@ -148,10 +163,7 @@ def test_spectrum_agreement_random():
     for _ in range(100):
         p = random_model_params(rng)
         mu = rng.uniform(0.0, 1.0)
-        t = rng.uniform(0.0, 5.0)
-        closed = np.sort(eigenvalues_closed_form(p, mu, t))
-        numeric = np.sort(qmat.hermitian_eigenvalues(evolve_isotropic(p, mu, t)))
-        assert np.abs(closed - numeric).max() <= 1e-10
+        assert crosscheck.spectrum_vs_jacobi(p, mu, [rng.uniform(0.0, 5.0)]) <= 1e-10
 
 
 def test_eigenvalue_ordering():
@@ -174,7 +186,7 @@ def test_r4_curve_at_zero_and_peak():
     p = ModelParams(0.1, 0.9)
     assert r4_curve(p, 0.0) == 1.0
     peak, t_star = r4_max(p)
-    t_num, v_num = maximize_scalar(lambda t: r4_curve(p, t), 0.0, math.pi / (2.0 * p.Omega), tol=1e-12)
+    t_num, v_num = maximize_scalar(lambda t: r4_curve(p, t), 0.0, math.pi / (2.0 * p.Omega))
     assert abs(peak - v_num) <= 1e-8
     assert abs(t_star - t_num) <= 1e-6
     grid = np.linspace(0.0, 10.0, 5001)
@@ -348,7 +360,7 @@ def test_rate_factor_at_zero_and_peak():
         assert abs(concurrence_rate_factor(p, 0.0) + p.a) <= 1e-15
         peak, t_bar = rate_factor_max(p)
         t_num, v_num = maximize_scalar(
-            lambda t: rate_factor_product_form(p, t), 0.0, math.pi / (2.0 * p.Omega), tol=1e-12
+            lambda t: rate_factor_product_form(p, t), 0.0, math.pi / (2.0 * p.Omega)
         )
         assert abs(peak - v_num) <= 1e-8
         assert abs(t_bar - t_num) <= 1e-6
@@ -527,8 +539,8 @@ def test_detect_windows_short_horizon_clips_the_window():
 
 def test_ppt_symmetry_trivial_and_generic():
     p = ModelParams(0.1, 0.9)
-    assert ppt_spectrum_deviation(p, 0.0, 1.3) <= 1e-10
-    assert ppt_spectrum_deviation(p, 0.2, 0.7) <= 1e-10
+    assert crosscheck.spectrum_vs_jacobi(p, 0.0, [1.3], transposed=True) <= 1e-10
+    assert crosscheck.spectrum_vs_jacobi(p, 0.2, [0.7], transposed=True) <= 1e-10
 
 
 def test_ppt_detects_entanglement_window():

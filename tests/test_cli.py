@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CLI_COMMANDS
-from qslip import cli
+from qslip import bipartite, cli
 
 
 def run_cli(*args, timeout=None):
@@ -189,12 +189,12 @@ def test_windows_and_verify_run_where_b_squared_underflows(capsys):
 def test_verify_fails_a_nan_partial_transpose_deviation(capsys, monkeypatch):
     # A NaN partial-transpose deviation fails the check rather than
     # vanishing in a running max().
-    closed_form = cli.eigenvalues_closed_form
+    closed_form = bipartite.eigenvalues_closed_form
 
     def nan_at_negative_mu(p, mu, t):
         return (np.nan,) * 4 if mu < 0.0 else closed_form(p, mu, t)
 
-    monkeypatch.setattr(cli, "eigenvalues_closed_form", nan_at_negative_mu)
+    monkeypatch.setattr(bipartite, "eigenvalues_closed_form", nan_at_negative_mu)
     argv = ["verify", "--a", "0.1", "--b", "0.9", "--t-max", "0.5", "--step", "1e-3"]
     assert cli.main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -265,15 +265,20 @@ def test_bounds_positive_regime():
     assert payload["t_prime"] == 0.0
 
 
-def test_verify_passes_at_reference_points():
-    for a, b, mu in (("0.1", "0.9", "0.2"), ("0.3", "0.8", "0.3")):
-        proc = run_cli(
-            "verify", "--a", a, "--b", b, "--mu", mu,
-            "--t-max", "0.5", "--step", "1e-3",
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "all checks passed" in proc.stdout
-        assert "FAIL" not in proc.stdout
+def test_verify_passes_at_reference_points(capsys):
+    # Exact stdout at the two reference points, every deviation included.
+    for a, b, mu, rk4, spectrum, concurrence, maxima in (
+            ("0.1", "0.9", "0.2", "1.527e-15", "1.665e-16", "0.000e+00", "8.350e-09"),
+            ("0.3", "0.8", "0.3", "2.448e-14", "2.220e-16", "1.527e-16", "2.459e-08")):
+        argv = ["verify", "--a", a, "--b", b, "--mu", mu, "--t-max", "0.5", "--step", "1e-3"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"PASS  propagator_vs_rk4                max_dev={rk4} tol=1.0e-08\n"
+            f"PASS  eigenvalues_vs_jacobi            max_dev={spectrum} tol=1.0e-10\n"
+            f"PASS  concurrence_closed_vs_wootters   max_dev={concurrence} tol=1.0e-10 points=18\n"
+            f"PASS  maxima_vs_golden_section         max_dev={maxima} tol=1.0e-06\n"
+            "PASS  ppt_mu_sign_symmetry             tol=1.0e-10\n"
+            "all checks passed\n")
 
 
 def test_verify_passes_on_the_completely_positive_branch():
