@@ -7,6 +7,8 @@ runs on Python floats through ``math`` and skips numpy's per-call dispatch,
 which costs more than the arithmetic itself.  Anything else (an ndarray, a
 0-d array, a list) runs on numpy.
 
+It is also the one time gate: a time not finite and >= 0 raises ``ValueError``.
+
 The scalar path is bit-identical to element i of the array path:
 
 * the decay factor goes through ``np.exp`` even on a scalar, because
@@ -62,8 +64,12 @@ ARRAY = SimpleNamespace(
 
 def time_kernel(t):
     """``(t, ops)``: a scalar t as a Python float with ``SCALAR``, else a float array with ``ARRAY``."""
-    if type(t) is float:
-        return t, SCALAR
-    if isinstance(t, (float, int)):
-        return float(t), SCALAR
-    return np.asarray(t, dtype=float), ARRAY
+    if type(t) is float or isinstance(t, (float, int)):  # the type test is the fast path
+        if 0.0 <= t < math.inf:
+            return float(t), SCALAR
+    else:
+        t = np.asarray(t, dtype=float)
+        if not t.size or (t.min() >= 0.0 and t.max() < math.inf):  # a NaN makes both false
+            return t, ARRAY
+        t = t.flat[np.argmin((t >= 0.0) & (t < math.inf))]  # the first time out of the domain
+    raise ValueError(f"time must be >= 0 and finite, got {t}")

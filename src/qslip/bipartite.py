@@ -47,14 +47,19 @@ MAX_WINDOW_PERIODS = 10**6
 _FLIP_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
 
+def _checked_mu(mu: float) -> float:
+    mu = float(mu)
+    if not (0.0 <= mu <= 1.0):
+        raise ValueError(f"isotropic parameter mu must lie in [0, 1], got {mu}")
+    return mu
+
+
 def isotropic(mu: float) -> np.ndarray:
     """Isotropic 4x4 state (1-mu)/4 * identity + mu * projector.
 
     Entangled exactly when mu > 1/3.
     """
-    mu = float(mu)
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"isotropic parameter mu must lie in [0, 1], got {mu}")
+    mu = _checked_mu(mu)
     m = np.diag([1.0 + mu, 1.0 - mu, 1.0 - mu, 1.0 + mu]).astype(complex)
     m[0, 3] = m[3, 0] = 2.0 * mu
     return m / 4.0
@@ -67,9 +72,7 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     (outer) and 2*mu*C_t (inner) from the analytically propagated Pauli
     images; at t = 0 this is ``isotropic(mu)``.
     """
-    if not t >= 0.0:
-        raise ValueError(f"evolution time must be >= 0, got {t}")
-    mu = float(mu)
+    mu = _checked_mu(mu)
     t, k = time_kernel(float(t))
     big_omega = p.Omega
     decay = k.exp(-2.0 * p.a * t)
@@ -179,16 +182,15 @@ def concurrence_closed_form(p: ModelParams, mu: float, t: float) -> float:
     positivity bound 1/R4; within it, this agrees with the Wootters
     computation on the explicit matrix.
     """
+    t, k = time_kernel(t)
     mu = float(mu)
-    if not t >= 0.0:
-        raise ValueError(f"evolution time must be >= 0, got {t}")
     bound = positivity_bound(p)
     if not (0.0 <= mu <= bound + 1e-12):
         raise ValueError(
             f"mu={mu} is outside the physical range [0, {bound:.12g}]: "
             "the closed form presumes a valid state at all times"
         )
-    root, _ = _spectrum_entries(p, *time_kernel(t))
+    root, _ = _spectrum_entries(p, t, k)
     return float(max(0.0, mu * root - (1.0 - mu) / 2.0))
 
 
@@ -201,9 +203,7 @@ def concurrence_curve(p: ModelParams, mu: float, t):
     ``ISOTROPIC_EIG_FLOOR`` (possible only for mu > 1/R4).  Takes a scalar
     or an array t.
     """
-    mu = float(mu)
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"isotropic parameter mu must lie in [0, 1], got {mu}")
+    mu = _checked_mu(mu)
     root, eigs = _spectrum(p, mu, *time_kernel(t))
     gap = mu * root - (1.0 - mu) / 2.0
     curve = np.where(np.min(eigs, axis=0) < ISOTROPIC_EIG_FLOOR, np.nan, np.maximum(0.0, gap))

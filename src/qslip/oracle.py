@@ -194,8 +194,8 @@ def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float):
     width ``_BRACKET_TOL``, or until the float bracket stops shrinking, since
     far from zero that width can lie below the float spacing.  Returns ``(t_at_max, value)``.
     """
-    if not (t_lo < t_hi):
-        raise ValueError(f"need t_lo < t_hi, got {t_lo} >= {t_hi}")
+    if not (-math.inf < t_lo < t_hi < math.inf):
+        raise ValueError(f"need finite t_lo < t_hi, got {t_lo}, {t_hi}")
     grid = np.linspace(t_lo, t_hi, _COARSE_POINTS).tolist()  # Python floats, as fn prefers
     best = int(np.argmax([fn(t) for t in grid]))
     lo = grid[best - 1] if best > 0 else grid[0]

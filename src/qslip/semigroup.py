@@ -21,10 +21,10 @@ last case Bloch vectors can leave the unit ball, with peak radius given by
 ``norm_bound_max``.  A converter from raw stochastic-field constants to the
 model rates is included.
 
-``bloch_propagator`` and ``norm_bound_curve`` evaluate time through one
-scalar-or-array kernel (``qslip._timekernel``, which says how its scalar
-path stays bit-identical to the array path); ``bloch_trajectory`` takes an
-array of times only.
+``bloch_propagator``, ``norm_bound_curve`` and ``bloch_trajectory`` take
+time through one scalar-or-array kernel (``qslip._timekernel``, which
+rejects a time that is not finite and >= 0, and says how its scalar path
+stays bit-identical to the array path).
 """
 
 from __future__ import annotations
@@ -235,9 +235,7 @@ def bloch_propagator(p: ModelParams, t: float) -> np.ndarray:
 
 def bloch_trajectory(p: ModelParams, r: BlochVector, times) -> np.ndarray:
     """Closed-form trajectory sampled at an array of times >= 0, shape (n, 3)."""
-    times = np.asarray(times, dtype=float)
-    if times.size and not times.min() >= 0.0:
-        raise ValueError("trajectory times must be >= 0")
+    times, _ = time_kernel(np.asarray(times, dtype=float))
     big_omega = p.Omega
     decay = np.exp(-2.0 * p.a * times)
     c = np.cos(2.0 * big_omega * times)

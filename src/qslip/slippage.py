@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import qmat
+from ._timekernel import time_kernel
 from .qmat import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
 from .semigroup import ModelParams, bloch_propagator
 
@@ -106,11 +107,9 @@ def is_completely_positive(
     True iff the smallest Choi eigenvalue stays above ``CP_EIG_FLOOR`` at
     every grid point; the worst point is reported either way.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, _ = time_kernel(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("time grid must not be empty")
-    if not t_grid.min() >= 0.0:
-        raise ValueError("time grid values must be >= 0")
     worst_t, worst_eig = float(t_grid[0]), math.inf
     for t in t_grid.tolist():
         low = float(qmat.hermitian_eigenvalues(choi_matrix(family(t)))[-1])

@@ -6,10 +6,8 @@ import pytest
 
 from conftest import FIGURE_PARAMS, pauli_images, random_model_params
 from qslip import (
-    BlochVector,
     IntegratorConfig,
     ModelParams,
-    bloch_trajectory,
     can_create_entanglement,
     concurrence_closed_form,
     concurrence_curve,
@@ -19,7 +17,6 @@ from qslip import (
     eigenvalues_closed_form,
     evolve_isotropic,
     integrate_master_4x4,
-    is_completely_positive,
     isotropic,
     maximize_scalar,
     norm_bound_curve,
@@ -91,21 +88,16 @@ def test_evolve_maximally_mixed_is_stationary():
         assert np.abs(evolve_isotropic(p, 0.0, t) - np.eye(4) / 4.0).max() <= 1e-15
 
 
-def test_evolve_rejects_negative_time():
-    with pytest.raises(ValueError):
-        evolve_isotropic(ModelParams(0.1, 0.9), 0.2, -1.0)
-
-
+@pytest.mark.parametrize("mu", [-0.1, 2.0, math.nan])
 @pytest.mark.parametrize("call", [
-    lambda t: concurrence_closed_form(ModelParams(0.1, 0.9), 0.2, t),
-    lambda t: evolve_isotropic(ModelParams(0.1, 0.9), 0.2, t),
-    lambda t: bloch_trajectory(ModelParams(0.1, 0.9), BlochVector(0.5, 0.5, 0.0), [0.0, t]),
-    lambda t: is_completely_positive(semigroup_action(ModelParams(0.1, 0.9)), [0.0, t]),
-], ids=["concurrence_closed_form", "evolve_isotropic", "bloch_trajectory", "is_completely_positive"])
-def test_nan_time_is_rejected(call):
-    # NaN < 0 is false, so each time check is written to fail on NaN too.
-    with pytest.raises(ValueError, match="must be >= 0"):
-        call(math.nan)
+    isotropic,
+    lambda mu: evolve_isotropic(ModelParams(0.1, 0.9), mu, 0.5),
+    lambda mu: concurrence_curve(ModelParams(0.1, 0.9), mu, 0.5),
+], ids=["isotropic", "evolve_isotropic", "concurrence_curve"])
+def test_isotropic_parameter_outside_the_unit_interval_is_rejected(call, mu):
+    # At t = 0 the evolved matrix is isotropic(mu), so it takes the same mu.
+    with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\]"):
+        call(mu)
 
 
 def test_evolve_matches_rk4_oracle():

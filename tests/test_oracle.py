@@ -267,6 +267,13 @@ def test_maximizer_validation():
         maximize_scalar(lambda x: x, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("t_lo, t_hi", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+def test_maximizer_rejects_a_bracket_that_is_not_finite(t_lo, t_hi):
+    # linspace over an infinite bracket is all NaN and inf, so no peak can be found.
+    with pytest.raises(ValueError, match="need finite t_lo < t_hi"):
+        maximize_scalar(lambda t: -t * t, t_lo, t_hi)
+
+
 def test_maximizer_recovers_positivity_radius_peak():
     p = ModelParams(0.1, 0.9)
     peak, t_star = r4_max(p)

@@ -136,11 +136,6 @@ def test_third_axis_is_fixed():
         assert r1 == 0.0 and r2 == 0.0 and r3 == 1.0
 
 
-def test_propagate_rejects_negative_time():
-    with pytest.raises(ValueError, match="trajectory times must be >= 0"):
-        bloch_trajectory(ModelParams(0.1, 0.9), R_PLUS, [0.0, -0.1])
-
-
 def test_propagate_matches_rk4_oracle():
     p = ModelParams(0.1, 0.9)
     cfg = IntegratorConfig(step=1e-4, t_max=0.3)

@@ -5,15 +5,23 @@ A scalar time runs on Python floats and an array time on numpy (see
 call at t_i must equal element i of the array call, and the 0-d array call,
 exactly: same bits, the same sign of zero, and NaN wherever the array path
 gives NaN.  The domain covers its edges: a = 0, b -> 0, b -> omega, large
-a*t, and times whose phase 2 Omega t overflows to inf.
+a*t, and finite times whose phase 2 Omega t overflows to inf.
+
+A time that is negative, NaN or infinite is outside the domain: every
+callable that takes a time rejects it, through the kernel's one gate.
 """
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qslip
 from qslip import (
     BlochVector,
     ModelParams,
@@ -23,10 +31,14 @@ from qslip import (
     concurrence_curve,
     concurrence_rate_factor,
     eigenvalues_closed_form,
+    evolve_isotropic,
+    is_completely_positive,
     norm_bound_curve,
     positivity_bound,
     r1_curve,
     r4_curve,
+    rate_factor_product_form,
+    semigroup_action,
     window_functions,
 )
 
@@ -40,7 +52,6 @@ _TIMES = st.one_of(
     st.floats(0.0, 20.0),
     st.floats(20.0, 1e4),          # exp(-2at) underflows for large a*t
     st.floats(1e306, 1.7e308),     # 2 Omega t overflows to inf for Omega > ~0.5
-    st.just(math.inf),
 )
 
 
@@ -117,3 +128,46 @@ def test_propagator_decay_matches_trajectory():
     p, t = ModelParams(0.08564916714362436, 0.9), 1.1840525329804985
     image = bloch_trajectory(p, BlochVector(1.0, 0.0, 0.0), [t])[0, 0]
     assert bloch_propagator(p, t)[0, 0] == image
+
+
+_P = ModelParams(0.1, 0.9)
+# Every public callable that takes a time, with the forms of time it takes.
+_TIME_CALLABLES = {
+    "evolve_isotropic": (lambda t: evolve_isotropic(_P, 0.2, t), ("scalar",)),
+    "eigenvalues_closed_form": (lambda t: eigenvalues_closed_form(_P, 0.2, t), ("scalar", "array")),
+    "r4_curve": (lambda t: r4_curve(_P, t), ("scalar", "array")),
+    "r1_curve": (lambda t: r1_curve(_P, t), ("scalar", "array")),
+    "concurrence_closed_form": (lambda t: concurrence_closed_form(_P, 0.2, t), ("scalar",)),
+    "concurrence_curve": (lambda t: concurrence_curve(_P, 0.2, t), ("scalar", "array")),
+    "concurrence_rate_factor": (lambda t: concurrence_rate_factor(_P, t), ("scalar", "array")),
+    "window_functions": (lambda t: window_functions(_P, t), ("scalar", "array")),
+    "bloch_propagator": (lambda t: bloch_propagator(_P, t), ("scalar",)),
+    "bloch_trajectory": (lambda t: bloch_trajectory(_P, BlochVector(0.5, 0.5, 0.0), t), ("array",)),
+    "norm_bound_curve": (lambda t: norm_bound_curve(_P, t), ("scalar", "array")),
+    "semigroup_action": (lambda t: semigroup_action(_P)(t), ("scalar",)),
+    # A family that reads no time: the scan must check its grid itself.
+    "is_completely_positive": (lambda t: is_completely_positive(lambda _: np.eye(4), t), ("array",)),
+    "rate_factor_product_form": (lambda t: rate_factor_product_form(_P, t), ("scalar", "array")),
+}
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("name, form", [(name, form) for name, (_, forms) in _TIME_CALLABLES.items()
+                                        for form in forms])
+def test_every_time_callable_rejects_a_time_outside_the_domain(name, form, t):
+    call, _ = _TIME_CALLABLES[name]
+    # The message names the time out of the domain, not the whole array.
+    with pytest.raises(ValueError, match=re.escape(f"must be >= 0 and finite, got {t}") + "$"):
+        call(t if form == "scalar" else [0.0, t])
+
+
+def test_time_domain_is_checked_in_the_kernel_only():
+    # A time check written in a closed-form module would be a second gate
+    # that can drift from the kernel's: its message may appear in no other module.
+    message = re.compile(r"\btimes?\b.*must be >= 0")
+    found = {}
+    for path in sorted(Path(qslip.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and message.search(node.value):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert list(found) == ["_timekernel.py"], found
