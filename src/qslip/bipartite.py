@@ -13,8 +13,9 @@ valid state *grows* on certain time windows even though the action is
 purely local; ``detect_windows`` finds those windows in closed form, with
 the tightened mu bound that excludes them.  All but ``concurrence_wootters``
 are closed forms, which the tests and ``qslip verify`` check against the
-Jacobi eigensolver (also on the partial transpose), the RK4 integrator,
-the golden-section maximizer or a dense-grid window scan.
+Jacobi eigensolver (also on the partial transpose), Wootters' algorithm (on
+the two 2x2 blocks of an X-shaped state, in Python scalars), the RK4
+integrator, the golden-section maximizer or a dense-grid window scan.
 
 The time-dependent closed forms, and the corners of ``evolve_isotropic``,
 take time through one kernel (``qslip._timekernel``): a scalar time runs on
@@ -80,10 +81,12 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     outer = 2.0 * mu * (decay * (k.cos(2.0 * big_omega * t) - 1j * (p.omega / big_omega) * s))
     inner = 2.0 * mu * (1j * (p.b / big_omega) * decay * s)
     # Divided entry by entry as numpy's m / 4.0 would divide them.
-    plus, minus = (1.0 + mu) / 4.0, (1.0 - mu) / 4.0
-    return np.array([plus, 0.0, 0.0, outer / 4.0, 0.0, minus, inner / 4.0, 0.0,
-                     0.0, inner.conjugate() / 4.0, minus, 0.0,
-                     outer.conjugate() / 4.0, 0.0, 0.0, plus], dtype=complex).reshape(4, 4)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = (1.0 + mu) / 4.0
+    m[1, 1] = m[2, 2] = (1.0 - mu) / 4.0
+    m[0, 3], m[3, 0] = outer / 4.0, outer.conjugate() / 4.0
+    m[1, 2], m[2, 1] = inner / 4.0, inner.conjugate() / 4.0
+    return m
 
 
 def _spectrum_entries(p: ModelParams, t, k):
@@ -150,29 +153,57 @@ def positivity_bound(p: ModelParams) -> float:
     return 1.0 / p.R4
 
 
+def _matmul2(x: tuple, y: tuple) -> tuple:
+    """Product of two 2x2 matrices held as row-major 4-tuples."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
 def concurrence_wootters(rho) -> float:
     """Wootters concurrence of a two-qubit state.
 
     With rho_tilde = (s2 x s2) conj(rho) (s2 x s2) and lambda_i the
-    descending square roots of the eigenvalues of rho rho_tilde (clamped at
-    zero before the root):
+    descending square roots of the eigenvalues of R = sqrt(rho) rho_tilde
+    sqrt(rho) (clamped at zero before the root):
 
         C(rho) = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
+
+    An X-shaped rho (every oracle input) runs on its blocks {0, 3} and
+    {1, 2} in Python scalars, where sqrt(rho), rho_tilde and R are X-shaped
+    too; every other state runs on 4x4 numpy arrays.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    if abs(sum(rho.diagonal().tolist()) - 1.0) > 1e-10:
+    rows = rho.tolist()
+    if abs(rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3] - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {np.trace(rho)}")
-    w, v = qmat.hermitian_eig(rho)
-    if w[-1] < qmat.STATE_EIG_FLOOR:
-        raise ValueError(f"input has negative eigenvalue {w[-1]:.3e}: not a state")
-    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ qmat.dagger(v)
-    rho_tilde = _FLIP_SIGNS * np.conj(rho[::-1, ::-1])
-    # hermitian_eigenvalues symmetrizes the round-off of the product itself.
-    product = sqrt_rho @ rho_tilde @ sqrt_rho
-    lams = np.sqrt(np.maximum(qmat.hermitian_eigenvalues(product), 0.0))
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    blocks = qmat.hermitian_x_eig(rows, vectors=True)
+    w, v = blocks or qmat.hermitian_eig(rho)  # v: eigenvector rows (blocks) or columns (dense)
+    if min(w) < qmat.STATE_EIG_FLOOR:
+        raise ValueError(f"input has negative eigenvalue {min(w):.3e}: not a state")
+    if blocks:
+        r_blocks = []
+        for p, q in ((0, 3), (1, 2)):
+            app, apq, aqp, aqq = rows[p][p], rows[p][q], rows[q][p], rows[q][q]
+            # Eigenvector columns (up, uq) of w[p] and (vp, vq) of w[q].
+            up, uq, vp, vq = v[p][p], v[p][q], v[q][p], v[q][q]
+            rp, rq = math.sqrt(max(w[p], 0.0)), math.sqrt(max(w[q], 0.0))
+            root = _matmul2((up * rp, vp * rq, uq * rp, vq * rq),
+                            (up.conjugate(), uq.conjugate(), vp.conjugate(), vq.conjugate()))
+            # rho_tilde holds each block with its diagonal swapped, conjugated.
+            tilde = (aqq.conjugate(), aqp.conjugate(), apq.conjugate(), app.conjugate())
+            r_blocks.append(_matmul2(_matmul2(root, tilde), root))
+        (r00, r03, r30, r33), (r11, r12, r21, r22) = r_blocks
+        eigs = qmat.hermitian_x_eig([[r00, 0j, 0j, r03], [0j, r11, r12, 0j],
+                                     [0j, r21, r22, 0j], [r30, 0j, 0j, r33]])[0]
+    else:
+        sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ qmat.dagger(v)
+        rho_tilde = _FLIP_SIGNS * np.conj(rho[::-1, ::-1])
+        # hermitian_eigenvalues symmetrizes the round-off of the product itself.
+        eigs = qmat.hermitian_eigenvalues(sqrt_rho @ rho_tilde @ sqrt_rho).tolist()
+    l1, l2, l3, l4 = sorted([math.sqrt(max(e, 0.0)) for e in eigs], reverse=True)
+    return float(max(0.0, l1 - l2 - l3 - l4))
 
 
 def concurrence_closed_form(p: ModelParams, mu: float, t: float) -> float:
@@ -261,14 +292,14 @@ def can_create_entanglement(p: ModelParams) -> bool:
     return 2.0 * p.a * p.omega < p.b * p.b
 
 
-def _window_f(p: ModelParams, t_offset, k):
-    """f of ``window_functions`` for ``t_offset, k = time_kernel(...)``."""
+def _window_terms(p: ModelParams, t_offset, k):
+    """f of ``window_functions`` and sqrt(1 + (b/Omega)^2 sin^2(2 Omega (t_bar + t_offset))),
+    the factor it shares with R1(t_bar + t_offset), for ``t_offset, k = time_kernel(...)``."""
     t_bar = p.t_bar
     s = k.sin(2.0 * p.Omega * (t_bar + t_offset))
     ratio = p.b / p.Omega
-    return k.exp(-2.0 * p.a * t_offset) * k.sqrt(1.0 + ratio * ratio * s * s) - math.exp(
-        -2.0 * p.a * t_bar
-    ) * p.b / p.hyp
+    root = k.sqrt(1.0 + ratio * ratio * s * s)
+    return k.exp(-2.0 * p.a * t_offset) * root - math.exp(-2.0 * p.a * t_bar) * p.b / p.hyp, root
 
 
 def window_functions(p: ModelParams, t_offset):
@@ -283,8 +314,9 @@ def window_functions(p: ModelParams, t_offset):
       corrected mu bound to or below the separability threshold 1/3.
     """
     t_offset, k = time_kernel(t_offset)
-    return (k.out(_window_f(p, t_offset, k)), k.out(_rate_factor_at_offset(p, t_offset, k)),
-            r1_curve(p, p.t_bar + t_offset) - 3.0)
+    f, root = _window_terms(p, t_offset, k)
+    r1 = 1.0 + 2.0 * (k.exp(-2.0 * p.a * (p.t_bar + t_offset)) * root)  # as r1_curve forms it
+    return k.out(f), k.out(_rate_factor_at_offset(p, t_offset, k)), k.out(r1) - 3.0
 
 
 @dataclass(frozen=True)
@@ -343,7 +375,7 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
                          f"{MAX_WINDOW_PERIODS} periods pi/(2 Omega) = {period}")
 
     def f(t: float) -> float:
-        return _window_f(p, *time_kernel(t))
+        return _window_terms(p, *time_kernel(t))[0]
 
     half = 0.0
     if can_create_entanglement(p):  # the ratio below divides by b

@@ -258,11 +258,81 @@ def test_wootters_rejects_non_states():
         concurrence_wootters(negative)  # eigenvalue -1/2
 
 
-# Wootters at (a, b) = (0.1, 0.9), mu = 0.999/R4, t = 1.3, as float.hex, taken
-# from the path that formed rho_tilde by two matmuls with s2 x s2 rather than
-# the signed index flip.  The value passes through numpy's exp and its 4x4
-# matmul, so the pin holds for one numpy build.
-_PINNED_WOOTTERS = "0x1.41231818fa5ccp-5"
+def is_x_shaped(m):
+    return qmat.hermitian_x_eig(np.asarray(m, dtype=complex).tolist()) is not None
+
+
+def random_pure_states(rng, n):
+    """n normalized amplitude vectors (a, b, c, d) of a|00> + b|01> + c|10> + d|11>."""
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def test_wootters_dense_path_on_pure_and_noisy_pure_states():
+    # Generic pure states are not X-shaped, so they take the 4x4 numpy path,
+    # and C = 2 |ad - bc|.  They are rank 1, where Wootters' square roots
+    # amplify the round-off of R's zero eigenvalues to about 1e-8 (the
+    # rank-deficient limit of test_oracle_properties), so they are checked to
+    # 1e-7.  Mixed with white noise of weight 1 - p they are full rank, with
+    # C = max(0, p C_pure - (1 - p)/2), checked to 1e-10.
+    rng = np.random.default_rng(61)
+    for a, b, c, d in random_pure_states(rng, 200):
+        pure = np.outer([a, b, c, d], np.conj([a, b, c, d]))
+        assert not is_x_shaped(pure)
+        expected = 2.0 * abs(a * d - b * c)
+        assert abs(concurrence_wootters(pure) - expected) <= 1e-7
+        weight = rng.uniform(0.0, 0.95)
+        noisy = weight * pure + (1.0 - weight) / 4.0 * np.eye(4)
+        expected = max(0.0, weight * expected - (1.0 - weight) / 2.0)
+        assert abs(concurrence_wootters(noisy) - expected) <= 1e-10
+
+
+def test_wootters_dense_path_on_locally_rotated_isotropic_states():
+    # A local unitary U x 1 keeps the concurrence, max(0, (3 mu - 1)/2), and
+    # fills in the entries off the blocks.
+    rng = np.random.default_rng(67)
+    for mu in rng.uniform(0.0, 1.0, 200):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        local = np.kron(u, np.eye(2))
+        rho = local @ isotropic(mu) @ local.conj().T
+        assert not is_x_shaped(rho)
+        assert abs(concurrence_wootters(rho) - max(0.0, (3.0 * mu - 1.0) / 2.0)) <= 1e-10
+
+
+def test_wootters_takes_the_numpy_path_only_off_the_x_shape(monkeypatch):
+    p = ModelParams(0.1, 0.9)
+    x_shaped = evolve_isotropic(p, 0.999 * positivity_bound(p), 1.3)
+    expected = concurrence_wootters(x_shaped)
+
+    def numpy_path(m):
+        raise AssertionError("numpy path")
+
+    monkeypatch.setattr(qmat, "hermitian_eig", numpy_path)
+    assert concurrence_wootters(x_shaped) == expected
+    with pytest.raises(AssertionError, match="numpy path"):
+        concurrence_wootters(np.kron(np.array([[0.6, 0.2j], [-0.2j, 0.4]]), np.eye(2) / 2.0))
+
+
+def test_wootters_rejects_non_finite_entries_on_both_paths():
+    x_shaped = evolve_isotropic(ModelParams(0.1, 0.9), 0.2, 0.7)
+    dense = np.kron(np.array([[0.6, 0.2j], [-0.2j, 0.4]]), np.eye(2) / 2.0)
+    assert is_x_shaped(x_shaped) and not is_x_shaped(dense)
+    for state in (x_shaped, dense):
+        concurrence_wootters(state)
+        for i, j in ((0, 0), (0, 3), (1, 2), (2, 1), (0, 1), (3, 2)):
+            for value in (np.nan, np.inf):
+                bad = state.copy()
+                bad[i, j] = value
+                with pytest.raises(ValueError):
+                    concurrence_wootters(bad)
+
+
+# Wootters at (a, b) = (0.1, 0.9), mu = 0.999/R4, t = 1.3, as float.hex, from
+# the block path of this X-shaped state: sqrt(rho), rho_tilde and R formed on
+# the blocks {0, 3} and {1, 2} in Python scalars.  The 4x4 numpy matmuls of
+# the dense path round differently (they gave 0x1.41231818fa5ccp-5).  The
+# state passes through numpy's exp, so the pin holds for one numpy build.
+_PINNED_WOOTTERS = "0x1.41231818fa5c6p-5"
 
 
 def test_wootters_bits_are_pinned():

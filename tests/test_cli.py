@@ -269,7 +269,7 @@ def test_verify_passes_at_reference_points(capsys):
     # Exact stdout at the two reference points, every deviation included.
     for a, b, mu, rk4, spectrum, concurrence, maxima in (
             ("0.1", "0.9", "0.2", "1.527e-15", "1.665e-16", "0.000e+00", "8.350e-09"),
-            ("0.3", "0.8", "0.3", "2.448e-14", "2.220e-16", "1.527e-16", "2.459e-08")):
+            ("0.3", "0.8", "0.3", "2.448e-14", "2.220e-16", "2.082e-16", "2.459e-08")):
         argv = ["verify", "--a", a, "--b", b, "--mu", mu, "--t-max", "0.5", "--step", "1e-3"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == (

@@ -104,6 +104,73 @@ def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
             solve(x_shaped)
 
 
+def test_block_kernel_sweeps_until_the_residual_is_within_tolerance(monkeypatch):
+    # At entries of order 24 one rotation per block can leave an off-block
+    # residual above JACOBI_OFF_TOL, so the kernel has to check it and sweep
+    # again; it then agrees to the bit with the dense loop on the permuted
+    # blocks, and a budget of one sweep must raise.
+    rng = np.random.default_rng(47)
+    perm = (0, 3, 1, 2)
+    cases = []
+    for _ in range(60):
+        m = np.diag(rng.normal(size=4)).astype(complex)
+        for i, j in ((0, 3), (1, 2)):
+            m[i, j] = complex(*rng.normal(size=2))
+            m[j, i] = m[i, j].conjugate()
+        cases.append(24.0 * m)
+    for m in cases:
+        blocks = m[np.ix_(perm, perm)]
+        assert qmat.hermitian_eigenvalues(m).tobytes() == qmat.hermitian_eigenvalues(blocks).tobytes()
+        w, v = qmat.hermitian_eig(m)
+        assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-12
+    monkeypatch.setattr(qmat, "JACOBI_MAX_SWEEPS", 1)
+    two_sweeps = 0
+    for m in cases:
+        try:
+            qmat.hermitian_eigenvalues(m)
+        except RuntimeError:
+            two_sweeps += 1
+            with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+                qmat.hermitian_eig(m)
+    assert two_sweeps >= 10
+
+
+def test_x_shaped_inputs_take_the_block_kernel(monkeypatch):
+    # X-shaped 4x4 inputs go to hermitian_x_eig and never reach the dense
+    # loop; any other input (a NaN or inf off the blocks included) does.
+    x_shaped = evolve_isotropic(ModelParams(0.1, 0.9), 0.8, 0.7)
+    w, v = qmat.hermitian_eig(x_shaped)
+
+    def dense_loop(rows, vectors):
+        raise AssertionError("dense loop")
+
+    monkeypatch.setattr(qmat, "_jacobi", dense_loop)
+    assert qmat.hermitian_eigenvalues(x_shaped).tobytes() == w.tobytes()
+    assert qmat.hermitian_eig(x_shaped)[1].tobytes() == v.tobytes()
+    others = [np.eye(3), np.eye(5), x_shaped + 1e-3 * OFF_X]
+    for value in (np.nan, np.inf):
+        m = x_shaped.copy()
+        m[0, 1] = value
+        others.append(m)
+    for m in others:
+        assert qmat.hermitian_x_eig(np.asarray(m, dtype=complex).tolist()) is None
+        for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
+            with pytest.raises(AssertionError, match="dense loop"):
+                solve(m)
+
+
+def test_non_hermitian_x_shaped_input_rejected():
+    # The block kernel checks every block entry before symmetrizing it.
+    x_shaped = evolve_isotropic(ModelParams(0.1, 0.9), 0.8, 0.7)
+    for i, j, bump in ((0, 3, 1e-6), (2, 1, 1e-6j), (3, 3, 1e-6j), (1, 1, 2e-6j)):
+        m = x_shaped.copy()
+        m[i, j] += bump
+        assert not m[OFF_X].any()
+        for solve in (qmat.hermitian_eigenvalues, qmat.hermitian_eig):
+            with pytest.raises(ValueError, match="not Hermitian: defect"):
+                solve(m)
+
+
 def test_non_hermitian_rejected():
     m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
