@@ -7,10 +7,18 @@ concurrence rate factor G.  None reuses the analytic propagator machinery:
 the integrators and the product form read only the rates ``a``, ``b`` and
 ``omega`` of a ``ModelParams``, never a cached closed-form constant, which
 is what makes them usable as oracles against it.
+
+RK4 steps through a straight-line function generated from the nonzero
+pattern of the vectorized generator and the initial state: every stage is
+written out over the entries that move, with each entry and generator
+value a local variable.  The generated source holds only indices and fixed
+names, the values arrive as arguments, and the compiled function is cached
+per pattern in a fixed-size ``functools.lru_cache``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -95,14 +103,54 @@ def _dissipative_rhs(p: ModelParams, s1, s2, s3) -> Callable[[np.ndarray], np.nd
     return rhs
 
 
+@functools.lru_cache(maxsize=32)
+def _stepper(dim: int, live: tuple, columns: tuple):
+    """The RK4 loop for one nonzero pattern, as one straight-line function
+    compiled from generated source: ``live`` lists the stepped entries and
+    ``columns[r]`` the nonzero columns of entry ``live[r]``'s generator row.
+    The source holds only indices and fixed names (``g{i}_{j}`` for
+    generator entry (i, j)); the call ``run(states, n, h, half, sixth, y, g)``
+    passes the state entries ``y`` and the generator values ``g`` row by
+    row, in column order."""
+    stepped = set(live)
+    rows = list(zip(live, columns))
+
+    def stage(out: str, x: str) -> list:
+        # Each row summed in column order; an entry outside `live` is constant.
+        return [f"        {out}{i} = " + " + ".join(f"g{i}_{j} * {x if j in stepped else 'y'}{j}"
+                                                    for j in cols)
+                for i, cols in rows]
+
+    def advance(scale: str, d: str) -> list:
+        return [f"        x{i} = y{i} + {scale} * {d}{i}" for i in live]
+
+    entries = ", ".join(f"y{i}" for i in range(dim))
+    lines = ["def run(states, n, h, half, sixth, y, g):", f"    {entries}, = y"]
+    if live:
+        lines.append("    " + ", ".join(f"g{i}_{j}" for i, cols in rows for j in cols) + ", = g")
+    lines += ["    for k in range(1, n + 1):",
+              *stage("a", "y"), *advance("half", "a"),
+              *stage("b", "x"), *advance("half", "b"),
+              *stage("c", "x"), *advance("h", "c"),
+              *stage("d", "x"),
+              *[f"        y{i} = y{i} + sixth * (a{i} + (b{i} + b{i}) + (c{i} + c{i}) + d{i})"
+                for i in live],
+              f"        states[k] = ({entries},)"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<rk4 stepper>", "exec"), namespace)
+    return namespace["run"]
+
+
 def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     # Row j of rhs(basis) is vec(rhs(E_j)) (row-major vec), so its transpose
     # is the generator acting on vec(rho).  The state has 4 or 16 entries and
     # each generator row at most two nonzero ones (the rows of entries that
     # are diagonal in the bath qubit none): numpy's per-call overhead would
-    # cost far more than the arithmetic, so the stages run on Python complex
-    # scalars over each row's nonzero (column, value) pairs, and an entry
-    # whose row is empty keeps its value.  Each row is summed in column
+    # cost far more than the arithmetic, so the steps run on Python complex
+    # scalars in one generated function per nonzero pattern (`_stepper`,
+    # compiled once and cached): each entry and generator value is a local
+    # variable, and every stage is written out over the live entries, so the
+    # loop does no list, zip or call work.  Each row is summed in column
     # order from its first nonzero term by explicit additions (not sum(),
     # which newer Pythons compensate), as numpy's 4x4 mat-vec rounds, so
     # 2x2 trajectories are bit-identical to numpy mat-vecs of the dense
@@ -127,37 +175,13 @@ def _rk4(rhs, rho0: np.ndarray, cfg: IntegratorConfig) -> Trajectory:
     while grown != reach:
         reach = grown
         grown = reach | {i for i, row in enumerate(gen) for j, _ in row if j in reach}
-    live = [i for i in sorted(reach) if gen[i]]
-    rows = [(*gen[i][0], gen[i][1:]) for i in live]
-
-    def apply(x):
-        out = []
-        for j0, v0, rest in rows:
-            acc = v0 * x[j0]
-            for j, v in rest:
-                acc += v * x[j]
-            out.append(acc)
-        return out
-
+    live = tuple(i for i in sorted(reach) if gen[i])
+    run = _stepper(dim, live, tuple(tuple(j for j, _ in gen[i]) for i in live))
     n = int(round(cfg.t_max / cfg.step))
-    h, half, sixth = complex(cfg.step), complex(0.5 * cfg.step), complex(cfg.step / 6.0)
     states = np.empty((n + 1, dim), dtype=complex)
     states[0] = y
-    x = y[:]  # stage input; the entries outside `live` never change
-    for k in range(1, n + 1):
-        k1 = apply(y)
-        for i, d in zip(live, k1):
-            x[i] = y[i] + half * d
-        k2 = apply(x)
-        for i, d in zip(live, k2):
-            x[i] = y[i] + half * d
-        k3 = apply(x)
-        for i, d in zip(live, k3):
-            x[i] = y[i] + h * d
-        k4 = apply(x)
-        for i, d1, d2, d3, d4 in zip(live, k1, k2, k3, k4):
-            y[i] = y[i] + sixth * (d1 + (d2 + d2) + (d3 + d3) + d4)
-        states[k] = y
+    run(states, n, complex(cfg.step), complex(0.5 * cfg.step), complex(cfg.step / 6.0),
+        y, [v for i in live for _, v in gen[i]])
     return Trajectory(cfg.step * np.arange(n + 1), states.reshape((n + 1,) + rho0.shape))
 
 

@@ -6,28 +6,33 @@ over the first tensor factor.
 
 The eigensolver is written out rather than delegated to LAPACK so that the
 closed-form spectra elsewhere in the package are checked against genuinely
-independent numerics.  It runs on Python complex scalars: at 4x4 the
-per-call overhead of numpy slices costs far more than the arithmetic.  The
-oracles feed X-shaped 4x4 matrices: the local map fixes ``1`` and ``s3``
-and mixes ``s1`` with ``s2``, so the eight entries off the two decoupled
-2x2 blocks ``{0, 3}`` and ``{1, 2}`` are exact zeros.  Such an input goes
-to ``hermitian_x_eig``, one straight-line kernel on the two blocks held in
-local variables; every other input goes to the dense loop.  Both check
-each (i, j), (j, i) pair once, taking one defect and both symmetrized
-halves from the inputs (conjugating one half could flip a zero's sign),
-share one rotation formula, skip exact zeros (pivots, row and column pairs,
-residual terms, symmetrization pairs) and hold the rotation cosine as a
-complex number, as Python would promote it on every multiply.  On an
-X-shaped input the dense loop only ever skips the zeros off the blocks, so
-the kernel's eigenvalues and eigenvectors are bit-identical to it.  NaN and
-inf are truthy: a non-finite entry off the blocks selects the dense loop,
-and one facing a zero still reaches the Hermiticity check, which raises
-``ValueError``.  ``hermitian_eigenvalues`` skips the eigenvector
-accumulation that ``hermitian_eig`` does.  General n x n problems, sparse
-storage and extended precision are out of scope; every matrix here is tiny
-with entries of order one.
+independent numerics.  It runs on Python scalars: at 4x4 the per-call
+overhead of numpy slices costs far more than the arithmetic.  The diagonal
+is held as real numbers.  Each rotation moves the pivot's diagonal pair by
+``-t |a_pq|`` and ``+t |a_pq|`` and sets the pivot pair to exact zeros
+(Rutishauser's update) instead of rotating them, so no round-off of the
+diagonal's scale is left off the diagonal, and ``JACOBI_OFF_TOL`` is met
+whatever the size of the entries.  The oracles feed X-shaped 4x4 matrices:
+the local map fixes ``1`` and ``s3`` and mixes ``s1`` with ``s2``, so the
+eight entries off the two decoupled 2x2 blocks ``{0, 3}`` and ``{1, 2}``
+are exact zeros.  Such an input goes to ``hermitian_x_eig``, which is exact
+after one rotation per nonzero block and has no sweep loop; an
+eigenvalue-only call there computes just the shift ``t |a_pq|`` and skips
+the phase, cosine, sine and eigenvectors.  Every other input goes to the
+dense loop.  Both check each (i, j), (j, i) pair once, taking one defect
+and both symmetrized halves from the inputs (conjugating one half could
+flip a zero's sign), take ``t`` from one formula (``_tangent``), skip exact
+zeros (pivots, row and column pairs, residual terms, symmetrization pairs)
+and hold the rotation cosine as a complex number, as Python would promote
+it on every multiply.  So the kernel's eigenvalues and eigenvectors are
+bit-identical to the dense loop's on the permuted blocks, and
+``hermitian_eig`` and ``hermitian_eigenvalues`` give bit-equal
+eigenvalues.  NaN and inf are truthy: a non-finite entry off the blocks
+selects the dense loop, and one facing a zero or on the diagonal still
+reaches the Hermiticity check, which raises ``ValueError``.  General n x n
+problems, sparse storage and extended precision are out of scope; every
+matrix here is tiny.
 """
-
 from __future__ import annotations
 
 import math
@@ -82,44 +87,35 @@ def _symmetrized(x: complex, y: complex, rows: list) -> tuple:
     return 0.5 * (x + y_conj), 0.5 * (y + x.conjugate())
 
 
-def _symmetrized_diagonal(x: complex, rows: list) -> complex:
-    """``_symmetrized(x, x, rows)[0]`` with one conjugate and no tuple."""
+def _symmetrized_diagonal(x: complex, rows: list) -> float:
+    """The real part of a diagonal entry x = M[i, i], once its defect
+    |x - conj x| is within ``HERMITIAN_INPUT_TOL`` (a NaN or inf fails)."""
     if not x:
-        return 0j
-    x_conj = x.conjugate()
-    if not abs(x - x_conj) <= HERMITIAN_INPUT_TOL:
+        return 0.0
+    if not abs(x - x.conjugate()) <= HERMITIAN_INPUT_TOL:
         raise _not_hermitian(rows)
-    return 0.5 * (x + x_conj)
+    return x.real
 
 
-def _rotation(app: complex, aqq: complex, apq: complex) -> tuple:
-    """``(c, s phase, s conj(phase))`` of the rotation that annihilates the
-    nonzero pivot ``apq`` between the diagonal entries ``app`` and ``aqq``;
-    ``c`` is held complex, as Python would promote it on every multiply."""
-    mag = abs(apq)
-    phase = apq / mag
-    # Real rotation angle for the phase-stripped 2x2 block.
-    tau = (aqq.real - app.real) / (mag + mag)
+def _tangent(app: float, aqq: float, mag: float) -> float:
+    """``t = tan(theta)`` of the rotation that annihilates a pivot of modulus
+    ``mag`` between the real diagonal entries ``app`` and ``aqq``; it moves
+    them to ``app - t mag`` and ``aqq + t mag`` (Rutishauser's update)."""
+    tau = (aqq - app) / (mag + mag)
     sign = 1.0 if tau >= 0.0 else -1.0
-    t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
+    return sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
+
+
+def _rotation(app: float, aqq: float, apq: complex) -> tuple:
+    """``(c, s phase, s conj(phase), t |apq|)`` of the rotation that annihilates
+    the nonzero pivot ``apq``; ``c`` is held complex, as Python would
+    promote it on every multiply."""
+    mag = abs(apq)
+    t = _tangent(app, aqq, mag)
     c = 1.0 / math.sqrt(1.0 + t * t)
     s = t * c
-    return complex(c), s * phase, s * phase.conjugate()
-
-
-def _rotated_block(app: complex, apq: complex, aqp: complex, aqq: complex) -> tuple:
-    """The block ``[[app, apq], [aqp, aqq]]`` after the rotation annihilating ``apq``,
-    columns (A <- A U) then rows (A <- U^dagger A), and its ``_rotation`` triple."""
-    c, s_phase, s_conj = _rotation(app, aqq, apq)
-    if app or apq:
-        app, apq = c * app - s_conj * apq, s_phase * app + c * apq
-    if aqp or aqq:
-        aqp, aqq = c * aqp - s_conj * aqq, s_phase * aqp + c * aqq
-    if app or aqp:
-        app, aqp = c * app - s_phase * aqp, s_conj * app + c * aqp
-    if apq or aqq:
-        apq, aqq = c * apq - s_phase * aqq, s_conj * apq + c * aqq
-    return app, apq, aqp, aqq, c, s_phase, s_conj
+    phase = apq / mag
+    return complex(c), s * phase, s * phase.conjugate(), t * mag
 
 
 def _rotated_pair(x: complex, y: complex, c: complex, u: complex, v: complex) -> tuple:
@@ -130,41 +126,55 @@ def _rotated_pair(x: complex, y: complex, c: complex, u: complex, v: complex) ->
 
 
 def hermitian_x_eig(rows: list, vectors: bool = False):
-    """Cyclic Jacobi on the blocks ``{0, 3}`` and ``{1, 2}`` of an X-shaped
-    4x4 Hermitian matrix given as ``M.tolist()``: the unsorted eigenvalues
-    (by diagonal position) and, if ``vectors``, the eigenvector rows
-    (``vt[i]`` belongs to eigenvalue ``i``), else None; None for any other
-    input.  Checks, rotations, zero skips, residual and sweep budget are
-    the dense loop's, so the results are bit-identical to it."""
+    """Jacobi on the blocks ``{0, 3}`` and ``{1, 2}`` of an X-shaped 4x4
+    Hermitian matrix given as ``M.tolist()``: the unsorted eigenvalues (by
+    diagonal position) and, if ``vectors``, the eigenvector rows (``vt[i]``
+    belongs to eigenvalue ``i``), else None; None for any other input.
+
+    One rotation per nonzero pivot leaves the matrix diagonal, so there is
+    no sweep loop; only a budget of zero sweeps raises.  Checks, pivots,
+    shifts and rotations are the dense loop's, so the results are
+    bit-identical to it.  Without ``vectors`` only the shift ``t |a_pq|``
+    is computed."""
     if len(rows) != 4:
         return None
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
     if a01 or a02 or a10 or a13 or a20 or a23 or a31 or a32:
         return None
-    a03, a30 = _symmetrized(a03, a30, rows)
-    a12, a21 = _symmetrized(a12, a21, rows)
-    a00, a11, a22, a33 = (_symmetrized_diagonal(a00, rows), _symmetrized_diagonal(a11, rows),
-                          _symmetrized_diagonal(a22, rows), _symmetrized_diagonal(a33, rows))
+    # The lower halves come out as the exact conjugates of a03 and a12.
+    a03 = _symmetrized(a03, a30, rows)[0]
+    a12 = _symmetrized(a12, a21, rows)[0]
+    d0, d1, d2, d3 = (_symmetrized_diagonal(a00, rows), _symmetrized_diagonal(a11, rows),
+                      _symmetrized_diagonal(a22, rows), _symmetrized_diagonal(a33, rows))
+    m03, m12 = abs(a03), abs(a12)
+    residual = math.hypot(m03, m03, m12, m12)
+    rotate = residual > JACOBI_OFF_TOL
+    if rotate and JACOBI_MAX_SWEEPS < 1:
+        raise _unconverged(residual)
+    if not vectors:
+        if rotate and a03:
+            shift = _tangent(d0, d3, m03) * m03
+            d0, d3 = d0 - shift, d3 + shift
+        if rotate and a12:
+            shift = _tangent(d1, d2, m12) * m12
+            d1, d2 = d1 - shift, d2 + shift
+        return [d0, d1, d2, d3], None
+    # Each block of eigenvector rows is the dense loop's rotation of the
+    # identity rows, written out with its signed zeros.
     v00 = v11 = v22 = v33 = 1 + 0j
     v03 = v30 = v12 = v21 = 0j
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        residual = math.hypot(*[abs(x) for x in (a03, a12, a21, a30) if x])
-        if residual <= JACOBI_OFF_TOL:
-            break
-        if sweep == JACOBI_MAX_SWEEPS:
-            raise _unconverged(residual)
-        if a03:
-            a00, a03, a30, a33, c, s_phase, s_conj = _rotated_block(a00, a03, a30, a33)
-            if vectors:
-                v00, v30 = _rotated_pair(v00, v30, c, s_conj, s_phase)
-                v03, v33 = _rotated_pair(v03, v33, c, s_conj, s_phase)
-        if a12:
-            a11, a12, a21, a22, c, s_phase, s_conj = _rotated_block(a11, a12, a21, a22)
-            if vectors:
-                v11, v21 = _rotated_pair(v11, v21, c, s_conj, s_phase)
-                v12, v22 = _rotated_pair(v12, v22, c, s_conj, s_phase)
+    if rotate and a03:
+        c, s_phase, s_conj, shift = _rotation(d0, d3, a03)
+        d0, d3 = d0 - shift, d3 + shift
+        v00 = v33 = c
+        v03, v30 = 0j - s_conj, s_phase + 0j
+    if rotate and a12:
+        c, s_phase, s_conj, shift = _rotation(d1, d2, a12)
+        d1, d2 = d1 - shift, d2 + shift
+        v11 = v22 = c
+        v12, v21 = 0j - s_conj, s_phase + 0j
     vt = [[v00, 0j, 0j, v03], [0j, v11, v12, 0j], [0j, v21, v22, 0j], [v30, 0j, 0j, v33]]
-    return [a00.real, a11.real, a22.real, a33.real], vt if vectors else None
+    return [d0, d1, d2, d3], vt
 
 
 def _jacobi(rows: list, vectors: bool):
@@ -172,20 +182,21 @@ def _jacobi(rows: list, vectors: bool):
     of an n x n matrix, giving the unsorted eigenvalues and, if ``vectors``,
     the eigenvector rows.
 
-    Each (p, q) rotation annihilates the pivot.  Sweeps stop once the
+    Each (p, q) rotation moves the real diagonal pair by ``-t |a_pq|`` and
+    ``+t |a_pq|`` and zeroes the pivot pair.  Sweeps stop once the
     off-diagonal Frobenius norm is within ``JACOBI_OFF_TOL`` (quadratic
     convergence makes ``JACOBI_MAX_SWEEPS`` generous at 4x4 scale) and raise
     ``RuntimeError`` when that budget runs out."""
     n = len(rows)
     span = range(n)
-    a = [[0j] * n for _ in span]
+    d = [_symmetrized_diagonal(rows[i][i], rows) for i in span]
+    a = [[0j] * n for _ in span]  # off-diagonal entries; the diagonal slots stay 0j
     for i in span:
-        for j in span[i:]:
+        for j in span[i + 1:]:
             a[i][j], a[j][i] = _symmetrized(rows[i][j], rows[j][i], rows)
     vt = [[1 + 0j if i == j else 0j for j in span] for i in span] if vectors else None
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        residual = math.hypot(*[abs(x) for i, row in enumerate(a) for j, x in enumerate(row)
-                                if i != j and x])
+        residual = math.hypot(*[abs(x) for row in a for x in row if x])
         if residual <= JACOBI_OFF_TOL:
             break
         if sweep == JACOBI_MAX_SWEEPS:
@@ -194,9 +205,13 @@ def _jacobi(rows: list, vectors: bool):
             for q in span[p + 1:]:
                 if not a[p][q]:
                     continue
-                c, s_phase, s_conj = _rotation(a[p][p], a[q][q], a[p][q])
+                c, s_phase, s_conj, shift = _rotation(d[p], d[q], a[p][q])
+                d[p] -= shift
+                d[q] += shift
+                a[p][q] = a[q][p] = 0j
                 # Columns: A <- A U with U[p,p]=U[q,q]=c, U[p,q]=s*phase,
-                # U[q,p]=-s*conj(phase); then rows: A <- U^dagger A.
+                # U[q,p]=-s*conj(phase); then rows: A <- U^dagger A.  The
+                # pivot block is all zeros now, which the pairs skip.
                 for row in a:
                     row[p], row[q] = _rotated_pair(row[p], row[q], c, s_conj, s_phase)
                 row_p, row_q = a[p], a[q]
@@ -206,7 +221,7 @@ def _jacobi(rows: list, vectors: bool):
                     vec_p, vec_q = vt[p], vt[q]
                     for j in span:
                         vec_p[j], vec_q[j] = _rotated_pair(vec_p[j], vec_q[j], c, s_conj, s_phase)
-    return [row[i].real for i, row in enumerate(a)], vt
+    return d, vt
 
 
 def _eig(m: np.ndarray, vectors: bool):

@@ -329,10 +329,12 @@ def test_wootters_rejects_non_finite_entries_on_both_paths():
 
 # Wootters at (a, b) = (0.1, 0.9), mu = 0.999/R4, t = 1.3, as float.hex, from
 # the block path of this X-shaped state: sqrt(rho), rho_tilde and R formed on
-# the blocks {0, 3} and {1, 2} in Python scalars.  The 4x4 numpy matmuls of
-# the dense path round differently (they gave 0x1.41231818fa5ccp-5).  The
-# state passes through numpy's exp, so the pin holds for one numpy build.
-_PINNED_WOOTTERS = "0x1.41231818fa5c6p-5"
+# the blocks {0, 3} and {1, 2} in Python scalars, with the Jacobi's exact
+# pivot zeros (the closed form reads 0x1.41231818fa5f0p-5).  The 4x4 numpy
+# matmuls of the dense path round differently (they give
+# 0x1.41231818fa5ecp-5).  The state passes through numpy's exp, so the pin
+# holds for one numpy build.
+_PINNED_WOOTTERS = "0x1.41231818fa600p-5"
 
 
 def test_wootters_bits_are_pinned():

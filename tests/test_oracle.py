@@ -223,6 +223,127 @@ def test_stepper_steps_only_entries_reachable_from_the_initial_state():
     assert states.tobytes() == np.broadcast_to(pole, states.shape).tobytes()
 
 
+# Final states of integrate_master_4x4 at (0.1, 0.9), step 1e-3 to t = 0.4,
+# from isotropic(0.6) and from the seeded dense start above, as float.hex
+# (real, imag) pairs, taken from the row-loop stepper that the generated
+# straight-line stepper replaced.  The stepping is plain Python complex
+# arithmetic; the dense start itself comes from numpy matmuls, so its pin
+# holds for one numpy build.
+_PINNED_4X4_ISOTROPIC_FINAL = (
+    ("0x1.999999999999ap-2", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0"),
+    ("0x0.0p+0", "0x0.0p+0"), ("0x1.0a837baa8f8b7p-2", "-0x1.bc971dad23f47p-3"),
+    ("0x0.0p+0", "0x0.0p+0"), ("0x1.999999999999ap-4", "0x0.0p+0"),
+    ("-0x1.803db22d0e561p-55", "0x1.90219ab56d288p-3"), ("0x0.0p+0", "0x0.0p+0"),
+    ("0x0.0p+0", "0x0.0p+0"), ("-0x1.803db22d0e561p-55", "-0x1.90219ab56d288p-3"),
+    ("0x1.999999999999ap-4", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0"),
+    ("0x1.0a837baa8f8b7p-2", "0x1.bc971dad23f47p-3"), ("0x0.0p+0", "0x0.0p+0"),
+    ("0x0.0p+0", "0x0.0p+0"), ("0x1.999999999999ap-2", "0x0.0p+0"),
+)
+_PINNED_4X4_DENSE_FINAL = (
+    ("0x1.cdfdceffaa634p-4", "0x0.0p+0"), ("0x1.5bc803b471fbep-8", "-0x1.fa313ba55f8edp-4"),
+    ("-0x1.506e8a48370a2p-5", "-0x1.859fef789597fp-7"), ("-0x1.c6a1ecf22cc51p-5", "0x1.f67965f8bd81ap-4"),
+    ("0x1.5bc803b471fbep-8", "0x1.fa313ba55f8edp-4"), ("0x1.66762c44749ffp-3", "0x0.0p+0"),
+    ("0x1.493e8995c17e6p-4", "-0x1.2b3a8cf04000cp-4"), ("-0x1.26ae93049d192p-3", "-0x1.753432a4501b7p-4"),
+    ("-0x1.506e8a48370a2p-5", "0x1.859fef789597fp-7"), ("0x1.493e8995c17e6p-4", "0x1.2b3a8cf04000cp-4"),
+    ("0x1.472940a50a381p-2", "0x0.0p+0"), ("0x1.864c44493fd09p-5", "-0x1.3739c148ee88ap-3"),
+    ("-0x1.c6a1ecf22cc51p-5", "-0x1.f67965f8bd81ap-4"), ("-0x1.26ae93049d192p-3", "0x1.753432a4501b7p-4"),
+    ("0x1.864c44493fd09p-5", "0x1.3739c148ee88ap-3"), ("0x1.921c3578d0df3p-2", "0x0.0p+0"),
+)
+
+
+def test_4x4_stepper_bits_are_pinned():
+    p = ModelParams(0.1, 0.9)
+    cfg = IntegratorConfig(step=1e-3, t_max=0.4)
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    dense = g @ g.conj().T
+    dense = 0.5 * (dense + dense.conj().T) / np.trace(dense).real
+    for rho0, pinned in ((isotropic(0.6), _PINNED_4X4_ISOTROPIC_FINAL), (dense, _PINNED_4X4_DENSE_FINAL)):
+        traj = integrate_master_4x4(p, rho0, cfg)
+        final = [(z.real.hex(), z.imag.hex()) for z in traj.states[-1].ravel().tolist()]
+        assert final == list(pinned)
+
+
+def row_loop_rk4(p, rho0, cfg, paulis):
+    """Reference RK4: every generator row's nonzero terms summed in column
+    order on Python complex scalars, in the stage form of the generated
+    stepper, with no pruning of unreached entries and no generated code."""
+    s1, s2, s3 = paulis
+
+    def rhs(rho):
+        return ((-1j * p.omega) * (s3 @ rho - rho @ s3) + p.a * (s3 @ rho @ s3 - rho)
+                - p.b * (s1 @ rho @ s2 + s2 @ rho @ s1))
+
+    dim = rho0.size
+    basis = np.eye(dim, dtype=complex).reshape((dim,) + rho0.shape)
+    gen = [[(j, v) for j, v in enumerate(row) if v] for row in rhs(basis).reshape(dim, dim).T.tolist()]
+
+    def apply(x):
+        out = []
+        for row in gen:
+            acc = row[0][1] * x[row[0][0]] if row else 0j  # an empty row's entry is constant
+            for j, v in row[1:]:
+                acc += v * x[j]
+            out.append(acc)
+        return out
+
+    h, half, sixth = complex(cfg.step), complex(0.5 * cfg.step), complex(cfg.step / 6.0)
+    live = {i for i in range(dim) if gen[i]}
+    y = rho0.reshape(-1).tolist()
+    states = [y[:]]
+    for _ in range(int(round(cfg.t_max / cfg.step))):
+        k1 = apply(y)
+        x = [y[i] + half * k1[i] if i in live else y[i] for i in range(dim)]
+        k2 = apply(x)
+        x = [y[i] + half * k2[i] if i in live else y[i] for i in range(dim)]
+        k3 = apply(x)
+        x = [y[i] + h * k3[i] if i in live else y[i] for i in range(dim)]
+        k4 = apply(x)
+        y = [y[i] + sixth * (k1[i] + (k2[i] + k2[i]) + (k3[i] + k3[i]) + k4[i]) if i in live else y[i]
+             for i in range(dim)]
+        states.append(y)
+    return np.array(states).reshape((-1,) + rho0.shape)
+
+
+def test_stepper_matches_the_row_loop_to_the_bit():
+    # Rates with a = 0 or b = 0 change the generator's nonzero pattern, and
+    # the starts differ in which entries they reach.
+    rng = np.random.default_rng(73)
+    cfg = IntegratorConfig(step=1e-3, t_max=0.03)
+    paulis_2 = (qmat.PAULI_1, qmat.PAULI_2, qmat.PAULI_3)
+    paulis_4 = tuple(np.kron(s, qmat.IDENTITY_2) for s in paulis_2)
+    for k in range(12):
+        p = random_model_params(rng)
+        if k % 4 == 1:
+            p = ModelParams(0.0, p.b, p.omega)
+        if k % 4 == 2:
+            p = ModelParams(p.a, 0.0, p.omega)
+        qubit = BlochVector(*rng.uniform(-0.5, 0.5, size=3)).to_density_matrix()
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        dense = g @ g.conj().T
+        dense = 0.5 * (dense + dense.conj().T) / np.trace(dense).real
+        cases = [(integrate_master_2x2, qubit, paulis_2),
+                 (integrate_master_4x4, isotropic(rng.uniform(0.0, 1.0)), paulis_4),
+                 (integrate_master_4x4, dense, paulis_4),
+                 (integrate_master_4x4, np.kron(qubit, np.diag([0.3, 0.7])), paulis_4)]
+        for integrate, rho0, paulis in cases:
+            states = integrate(p, rho0, cfg).states
+            assert states.tobytes() == row_loop_rk4(p, rho0, cfg, paulis).tobytes(), (p, rho0)
+
+
+def test_stepper_is_compiled_once_per_nonzero_pattern():
+    # The generated source holds indices and fixed names only, so a run at
+    # other rates with the same nonzero pattern reuses the compiled stepper,
+    # and the cache holds a fixed number of patterns.
+    oracle._stepper.cache_clear()
+    cfg = IntegratorConfig(step=1e-3, t_max=0.01)
+    for p in (ModelParams(0.1, 0.9), ModelParams(0.3, 0.8, 1.5)):
+        integrate_master_4x4(p, isotropic(0.6), cfg)
+        integrate_master_2x2(p, BlochVector(0.3, 0.2, 0.1).to_density_matrix(), cfg)
+    info = oracle._stepper.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (2, 2, 32)
+
+
 def test_4x4_product_state_evolves_first_factor_only():
     # Checks the vectorization layout: rho (x) sigma must follow rho(t) (x) sigma.
     p = ModelParams(0.3, 0.8)

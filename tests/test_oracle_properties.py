@@ -93,12 +93,14 @@ def test_wootters_matches_closed_form_inside_bound(p, mu_fraction, times):
         assert abs(concurrence_wootters(evolve_isotropic(p, mu, t)) - closed) <= 1e-10
 
 
-# At b = 1e-10 the block path and the 4x4 numpy path both miss by 8.84e-9; at
-# b = 1e-12 the block path happens to land within 1.6e-13, the numpy one not.
+# At b = 1e-8 the block path misses by 1.61e-9.  Smaller b is no witness:
+# at b = 1e-10 the block path lands within 1.61e-11 since the Jacobi zeroes
+# each pivot exactly (it missed by 8.84e-9 before), and at b = 1e-12 within
+# 1.6e-13.
 @pytest.mark.xfail(strict=True, reason="known limit: at the rank-deficient bound mu = 1/R4 "
                    "Wootters agrees with the closed form only to about 1e-9")
 def test_wootters_at_the_rank_deficient_bound():
-    p = ModelParams(1.0, 1e-10, 1.0)
+    p = ModelParams(1.0, 1e-8, 1.0)
     mu = positivity_bound(p)
     closed = concurrence_closed_form(p, mu, 0.0)
     assert abs(concurrence_wootters(evolve_isotropic(p, mu, 0.0)) - closed) <= 1e-10

@@ -8,6 +8,7 @@ from qslip import (
     choi_matrix,
     compose_actions,
     evolve_isotropic,
+    isotropic,
     positivity_bound,
     qmat,
     semigroup_action,
@@ -105,10 +106,10 @@ def test_jacobi_raises_when_sweeps_run_out(monkeypatch):
 
 
 def test_block_kernel_sweeps_until_the_residual_is_within_tolerance(monkeypatch):
-    # At entries of order 24 one rotation per block can leave an off-block
-    # residual above JACOBI_OFF_TOL, so the kernel has to check it and sweep
-    # again; it then agrees to the bit with the dense loop on the permuted
-    # blocks, and a budget of one sweep must raise.
+    # At entries of order 24 a rotated pivot used to keep a round-off residual
+    # above JACOBI_OFF_TOL; the rotation now sets it to an exact zero, so one
+    # sweep suffices.  The kernel agrees to the bit with the dense loop on the
+    # permuted blocks.
     rng = np.random.default_rng(47)
     perm = (0, 3, 1, 2)
     cases = []
@@ -124,15 +125,51 @@ def test_block_kernel_sweeps_until_the_residual_is_within_tolerance(monkeypatch)
         w, v = qmat.hermitian_eig(m)
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-12
     monkeypatch.setattr(qmat, "JACOBI_MAX_SWEEPS", 1)
-    two_sweeps = 0
     for m in cases:
-        try:
-            qmat.hermitian_eigenvalues(m)
-        except RuntimeError:
-            two_sweeps += 1
-            with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
-                qmat.hermitian_eig(m)
-    assert two_sweeps >= 10
+        qmat.hermitian_eigenvalues(m)
+        qmat.hermitian_eig(m)
+
+
+def large_hermitian_inputs():
+    """X-shaped 4x4s with entries up to 1e3, dense Hermitian 4x4s scaled by
+    64 and 1000 (isotropic(0.5) + 0.3 s1 x 1): the round-off of a rotated
+    pivot at this scale is far above the absolute JACOBI_OFF_TOL."""
+    rng = np.random.default_rng(59)
+    cases = []
+    for _ in range(800):
+        m = np.diag(rng.uniform(-1.0, 1.0, size=4)).astype(complex)
+        for i, j in ((0, 3), (1, 2)):
+            m[i, j] = complex(*rng.uniform(-1.0, 1.0, size=2))
+            m[j, i] = m[i, j].conjugate()
+        cases.append(1e3 * m)
+    cases += [64.0 * random_hermitian(rng, 4) for _ in range(200)]
+    cases.append(1000.0 * (isotropic(0.5) + 0.3 * np.kron(qmat.PAULI_1, qmat.IDENTITY_2)))
+    return cases
+
+
+def test_jacobi_converges_on_large_entries():
+    # With exact pivot zeros no round-off of the diagonal's scale is left
+    # off the diagonal, so these converge under the absolute JACOBI_OFF_TOL.
+    # Relative bounds, as the entries reach 1e3.
+    for m in large_hermitian_inputs():
+        w, v = qmat.hermitian_eig(m)
+        scale = np.abs(m).max()
+        assert np.abs(w - np.linalg.eigvalsh(m)[::-1]).max() <= 1e-14 * scale
+        assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-14 * scale
+
+
+def test_eig_and_eigenvalues_give_equal_bits():
+    # Both move the diagonal by the one shift t|a_pq| of _tangent, and the
+    # eigenvectors never feed back into it.
+    rng = np.random.default_rng(67)
+    cases = [random_hermitian(rng, n) for n in (2, 3, 4) for _ in range(40)]
+    for _ in range(40):
+        p = ModelParams(rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.95))
+        m = evolve_isotropic(p, rng.uniform(0.0, 1.0), rng.uniform(0.0, 5.0))
+        cases += [m, qmat.partial_transpose_first(m)]
+    cases += large_hermitian_inputs()[::10]
+    for m in cases:
+        assert qmat.hermitian_eigenvalues(m).tobytes() == qmat.hermitian_eig(m)[0].tobytes()
 
 
 def test_x_shaped_inputs_take_the_block_kernel(monkeypatch):
@@ -230,14 +267,14 @@ def test_partial_transpose_involution_trace_hermiticity():
 
 
 # hermitian_eig and hermitian_eigenvalues on one evolved isotropic state and
-# one seeded dense Hermitian 4x4, as float.hex, taken from the Jacobi before
-# its pair-once symmetrization, its complex rotation cosine and its key-list
-# sort.  The Jacobi runs on Python scalars, so these bits hold wherever the
-# input does: the dense input is plain arithmetic, while the evolved state's
-# decay factor comes from numpy's exp.
+# one seeded dense Hermitian 4x4, as float.hex, taken from the Jacobi that
+# moves each pivot's diagonal pair by -+t|a_pq| and zeroes the pivot exactly
+# (Rutishauser's update).  The Jacobi runs on Python scalars, so these bits
+# hold wherever the input does: the dense input is plain arithmetic, while
+# the evolved state's decay factor comes from numpy's exp.
 _PINNED_EVOLVED_W = (
-    '0x1.0dd5f2e0e3d12p-1', '0x1.5133b625efb22p-2',
-    '0x1.f7b6cf5f47dccp-4', '0x1.532b04076b427p-6',
+    '0x1.0dd5f2e0e3d13p-1', '0x1.5133b625efb24p-2',
+    '0x1.f7b6cf5f47dcep-4', '0x1.532b04076b428p-6',
 )
 _PINNED_EVOLVED_V = (  # (real, imag) of each entry, row by row
     ('0x1.7f066452205dep-2', '-0x1.333cd6148e50fp-1'),
@@ -258,26 +295,26 @@ _PINNED_EVOLVED_V = (  # (real, imag) of each entry, row by row
     ('0x0.0p+0', '0x0.0p+0'),
 )
 _PINNED_DENSE_W = (
-    '0x1.7a9c59064a53dp+1', '0x1.9d2893788f38ep+0',
-    '-0x1.a212a723f6707p-1', '-0x1.3539efa9e8a5dp+0',
+    '0x1.7a9c59064a53bp+1', '0x1.9d2893788f38dp+0',
+    '-0x1.a212a723f6702p-1', '-0x1.3539efa9e8a58p+0',
 )
 _PINNED_DENSE_V = (  # (real, imag) of each entry, row by row
-    ('0x1.6c4cf9d6bbebfp-1', '0x1.17116937a2712p-5'),
-    ('0x1.7cd590c09959bp-6', '0x1.a5e12fc4579c9p-6'),
-    ('-0x1.16d0a062c77a3p-1', '-0x1.819eea65daa80p-4'),
-    ('-0x1.93a28d5906d20p-2', '-0x1.662b19d81daffp-3'),
-    ('0x1.01b425c32f566p-5', '0x1.bf264f73ae56bp-3'),
+    ('0x1.6c4cf9d6bbebep-1', '0x1.17116937a2711p-5'),
+    ('0x1.7cd590c09959bp-6', '0x1.a5e12fc4579c0p-6'),
+    ('-0x1.16d0a062c77a4p-1', '-0x1.819eea65daa85p-4'),
+    ('-0x1.93a28d5906d1ep-2', '-0x1.662b19d81db03p-3'),
+    ('0x1.01b425c32f564p-5', '0x1.bf264f73ae569p-3'),
     ('0x1.20647564e0f55p-1', '0x1.b7a8b7cf8b61bp-3'),
-    ('0x1.1f07e1b964980p-2', '-0x1.a260d58fd8cc3p-3'),
-    ('-0x1.c8636781d0106p-2', '0x1.0991ef1216ff8p-1'),
-    ('0x1.004f2d60c9b24p-1', '0x1.37de10397683cp-3'),
-    ('0x1.cfeca6e3ff5a4p-3', '0x1.a0a66677a98a0p-2'),
-    ('0x1.0d00388100c6bp-2', '0x1.ab3f821e9585ap-2'),
-    ('0x1.07303ff61ac0cp-1', '-0x1.6ef6cefa500d9p-5'),
-    ('-0x1.9f0a4f2e585b2p-2', '0x1.3907c4cbbd97bp-4'),
-    ('0x1.4a29ea0a2bfeep-1', '0x1.acc2540b539fbp-5'),
-    ('-0x1.0e26711a56950p-1', '0x1.d690164eed561p-3'),
-    ('0x1.b56419e567b10p-4', '-0x1.0c6bc7ddb830dp-2'),
+    ('0x1.1f07e1b96497dp-2', '-0x1.a260d58fd8cc4p-3'),
+    ('-0x1.c8636781d0108p-2', '0x1.0991ef1216ff7p-1'),
+    ('0x1.004f2d60c9b24p-1', '0x1.37de10397683bp-3'),
+    ('0x1.cfeca6e3ff5a3p-3', '0x1.a0a66677a98a0p-2'),
+    ('0x1.0d00388100c6cp-2', '0x1.ab3f821e9585ap-2'),
+    ('0x1.07303ff61ac0cp-1', '-0x1.6ef6cefa500ddp-5'),
+    ('-0x1.9f0a4f2e585b2p-2', '0x1.3907c4cbbd978p-4'),
+    ('0x1.4a29ea0a2bfeep-1', '0x1.acc2540b539ffp-5'),
+    ('-0x1.0e26711a56950p-1', '0x1.d690164eed562p-3'),
+    ('0x1.b56419e567b16p-4', '-0x1.0c6bc7ddb830ep-2'),
 )
 
 
@@ -295,11 +332,12 @@ def test_jacobi_bits_are_pinned():
 
 # As above, for the partial transpose of an evolved isotropic state, the
 # Choi matrix of a slipped semigroup map and a diagonal input (no pivot is
-# nonzero, so nothing rotates), taken before the X-shaped 4x4s swept only
-# their {0, 3} and {1, 2} blocks.
+# nonzero, so nothing rotates).  The X-shaped eigenvectors kept their bits
+# under Rutishauser's update (one rotation per block, with the same c and s);
+# the eigenvalues moved in their last bits.
 _PINNED_PT_W = (
-    '0x1.b911bfaa0c651p-1', '0x1.2d6dbae03d610p-1',
-    '0x1.3bb0d22c067b0p-5', '-0x1.f4750f5a145bap-2',
+    '0x1.b911bfaa0c652p-1', '0x1.2d6dbae03d612p-1',
+    '0x1.3bb0d22c067b0p-5', '-0x1.f4750f5a145bdp-2',
 )
 _PINNED_PT_V = (  # (real, imag) of each entry, row by row
     ('0x0.0p+0', '-0x1.6a09e667f3bccp-1'),
@@ -320,7 +358,7 @@ _PINNED_PT_V = (  # (real, imag) of each entry, row by row
     ('0x0.0p+0', '0x0.0p+0'),
 )
 _PINNED_CHOI_W = (
-    '0x1.1af6a3892dd6dp-1', '0x1.c75529ed6dd02p-3',
+    '0x1.1af6a3892dd6ep-1', '0x1.c75529ed6dd04p-3',
     '0x1.942571db48a4ap-3', '0x1.c556b094917e0p-6',
 )
 _PINNED_CHOI_V = (  # (real, imag) of each entry, row by row
