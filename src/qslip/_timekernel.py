@@ -4,8 +4,9 @@
 on, so each closed form keeps one body for both kinds of input.  A scalar
 time (``float``, ``int``, or ``np.float64``, which subclasses ``float``)
 runs on Python floats through ``math`` and skips numpy's per-call dispatch,
-which costs more than the arithmetic itself.  Anything else (an ndarray, a
-0-d array, a list) runs on numpy.
+which costs more than the arithmetic itself; an exact ``float``, what the
+golden-section maximizer passes, is the kernel's first test and comes back
+unconverted.  Anything else (an ndarray, a 0-d array, a list) runs on numpy.
 
 It is also the one time gate: a time not finite and >= 0 raises ``ValueError``.
 
@@ -45,7 +46,7 @@ def _nan_off_domain(fn):
 
 SCALAR = SimpleNamespace(
     # np.exp, not math.exp: the two differ in the last ulp on some inputs.
-    exp=lambda x: float(np.exp(x)),
+    exp=lambda x, _exp=np.exp: float(_exp(x)),
     sin=_nan_off_domain(math.sin),
     cos=_nan_off_domain(math.cos),
     sqrt=math.sqrt,  # only ever given values >= 1 or NaN, never negatives
@@ -64,7 +65,9 @@ ARRAY = SimpleNamespace(
 
 def time_kernel(t):
     """``(t, ops)``: a scalar t as a Python float with ``SCALAR``, else a float array with ``ARRAY``."""
-    if type(t) is float or isinstance(t, (float, int)):  # the type test is the fast path
+    if type(t) is float and 0.0 <= t < math.inf:  # the fast path: no conversion
+        return t, SCALAR
+    if isinstance(t, (float, int)):
         if 0.0 <= t < math.inf:
             return float(t), SCALAR
     else:

@@ -21,7 +21,8 @@ The time-dependent closed forms, and the corners of ``evolve_isotropic``,
 take time through one kernel (``qslip._timekernel``): a scalar time runs on
 Python floats and returns a ``float`` bit-identical to the matching element
 of the array path, NaN included (the decay factor exp(-2at) still comes
-from ``np.exp``; that module says why).
+from ``np.exp``; that module says why).  The rate factor's peak G_max and
+its amplitude are constants of the rates, cached on ``ModelParams``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from . import qmat
 from ._timekernel import time_kernel
 from .semigroup import ModelParams
+from .slippage import checked_mu
 
 # Spectrum floor for "is still a state" checks on the evolved family.
 ISOTROPIC_EIG_FLOOR = -1e-12
@@ -48,19 +50,12 @@ MAX_WINDOW_PERIODS = 10**6
 _FLIP_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
 
-def _checked_mu(mu: float) -> float:
-    mu = float(mu)
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"isotropic parameter mu must lie in [0, 1], got {mu}")
-    return mu
-
-
 def isotropic(mu: float) -> np.ndarray:
     """Isotropic 4x4 state (1-mu)/4 * identity + mu * projector.
 
     Entangled exactly when mu > 1/3.
     """
-    mu = _checked_mu(mu)
+    mu = checked_mu(mu)
     m = np.diag([1.0 + mu, 1.0 - mu, 1.0 - mu, 1.0 + mu]).astype(complex)
     m[0, 3] = m[3, 0] = 2.0 * mu
     return m / 4.0
@@ -73,7 +68,7 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     (outer) and 2*mu*C_t (inner) from the analytically propagated Pauli
     images; at t = 0 this is ``isotropic(mu)``.
     """
-    mu = _checked_mu(mu)
+    mu = checked_mu(mu)
     t, k = time_kernel(float(t))
     big_omega = p.Omega
     decay = k.exp(-2.0 * p.a * t)
@@ -118,14 +113,21 @@ def eigenvalues_closed_form(p: ModelParams, mu: float, t):
     changes sign.  A scalar t gives four floats, an array t four arrays.
     """
     t, k = time_kernel(t)
-    _, (e1, e2, e3, e4) = _spectrum(p, float(mu), t, k)
-    return k.out(e1), k.out(e2), k.out(e3), k.out(e4)
+    mu = float(mu)
+    # The formulas of _spectrum, written out: one frame less on the scalar path.
+    root, signed = _spectrum_entries(p, t, k)
+    return (k.out(0.25 * (1.0 + mu * (1.0 + 2.0 * root))),
+            k.out(0.25 * (1.0 + mu * (1.0 - 2.0 * root))),
+            k.out(0.25 * (1.0 - mu * (1.0 - 2.0 * signed))),
+            k.out(0.25 * (1.0 - mu * (1.0 + 2.0 * signed))))
 
 
 def r4_curve(p: ModelParams, t):
     """Positivity radius R4(t) = 1 + 2 exp(-2at) (b/Omega) sin(2 Omega t)."""
     t, k = time_kernel(t)
-    _, signed = _spectrum_entries(p, t, k)
+    big_omega = p.Omega
+    # The signed term of _spectrum_entries alone, in its order of operations.
+    signed = k.exp(-2.0 * p.a * t) * (p.b / big_omega) * k.sin(2.0 * big_omega * t)
     return k.out(1.0 + 2.0 * signed)
 
 
@@ -234,29 +236,17 @@ def concurrence_curve(p: ModelParams, mu: float, t):
     ``ISOTROPIC_EIG_FLOOR`` (possible only for mu > 1/R4).  Takes a scalar
     or an array t.
     """
-    mu = _checked_mu(mu)
+    mu = checked_mu(mu)
     root, eigs = _spectrum(p, mu, *time_kernel(t))
     gap = mu * root - (1.0 - mu) / 2.0
     curve = np.where(np.min(eigs, axis=0) < ISOTROPIC_EIG_FLOOR, np.nan, np.maximum(0.0, gap))
     return curve if curve.ndim else float(curve)
 
 
-def _g_max(p: ModelParams) -> float:
-    """Peak b^2 / (2 (hyp + a)) - a of G, taken without cancellation near the
-    creation threshold b^2 = 2 a omega as (b^2 - 2 a omega)(b^2 + 2 a omega)
-    / (2 (hyp + a)(b^2 - 2 a^2 + 2 a hyp)); the last factor is >= b^2 > 0.  It is
-    -a where b^2 rounds to 0 (b = 0, or b below about 1.5e-162)."""
-    a, b2, hyp, two_a_omega = p.a, p.b * p.b, p.hyp, 2.0 * p.a * p.omega
-    if b2 == 0.0:
-        return -a
-    return ((b2 - two_a_omega) * (b2 + two_a_omega)
-            / (2.0 * (hyp + a) * (b2 - 2.0 * a * a + 2.0 * a * hyp)))
-
-
 def _rate_factor_at_offset(p: ModelParams, t_offset, k):
     """G(t_bar + t_offset) for ``t_offset, k = time_kernel(...)``."""
     s = k.sin(2.0 * p.Omega * t_offset)
-    return _g_max(p) - (p.b * p.b * p.hyp / (p.Omega * p.Omega)) * (s * s)
+    return p.G_max - p.G_amplitude * (s * s)
 
 
 def concurrence_rate_factor(p: ModelParams, t):
@@ -265,8 +255,9 @@ def concurrence_rate_factor(p: ModelParams, t):
         G(t) = (b^2 hyp / Omega^2) cos(2 Omega t + phi) sin(2 Omega t) - a
              = G_max - (b^2 hyp / Omega^2) sin^2(2 Omega (t - t_bar)),
 
-    with hyp = sqrt(Omega^2 + a^2), cos(phi) = Omega / hyp and G_max the
-    peak of ``rate_factor_max``; the second form keeps the sign of G where
+    with hyp = sqrt(Omega^2 + a^2), cos(phi) = Omega / hyp, and G_max and the
+    amplitude b^2 hyp / Omega^2 cached on ``ModelParams`` (``p.G_max``,
+    ``p.G_amplitude``); the second form keeps the sign of G where
     it is a small difference of large terms, near the creation threshold.
     d c_mu / dt has the sign of G(t) for every mu > 0.  The first form is
     ``qslip.oracle.rate_factor_product_form``, the tests' reference.
@@ -276,11 +267,11 @@ def concurrence_rate_factor(p: ModelParams, t):
 
 
 def rate_factor_max(p: ModelParams):
-    """Peak of G(t) and its location t_bar = t*/2 (``p.t_bar``):
+    """Peak of G(t) and its location t_bar = t*/2 (``p.G_max``, ``p.t_bar``):
 
         max G = (b^2 / 2 Omega^2) (sqrt(Omega^2 + a^2) - a) - a.
     """
-    return _g_max(p), p.t_bar
+    return p.G_max, p.t_bar
 
 
 def can_create_entanglement(p: ModelParams) -> bool:
@@ -352,16 +343,16 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
     """Offsets t in [0, t_max_offset] (default pi/Omega) where f > 0 and g > 0.
 
     Closed form: G(t_bar + t) = G_max - (b^2 hyp / Omega^2) sin^2(2 Omega t)
-    (see ``concurrence_rate_factor``), so under the creation criterion G_max
-    > 0, G > 0 exactly on |t - k pi/(2 Omega)| < half = asin(sqrt(G_max
-    Omega^2 / (b^2 hyp))) / (2 Omega).  dR1/dt has the sign of G and f > 0 iff
-    R1 > R4, so f rises on each such interval: a window runs from its G zero,
-    or the one zero of f (bisected to adjacent floats), to the other G zero
-    or the horizon, and R1 peaks at its right end.  R1 - 1 at the right ends
-    falls by exp(-2a pi/(2 Omega)) per period, and a later window can only
-    be clipped shorter by the horizon, so the first window's right end sets
-    mu_upper_corrected = 1 / R1(t_bar + right) and the scan stops at the
-    first right end with f <= 0.  At a = 0 windows recur every period, and a
+    (see ``concurrence_rate_factor``; G_max is ``p.G_max``), so under the
+    creation criterion G_max > 0, G > 0 exactly on |t - k pi/(2 Omega)| <
+    half = asin(sqrt(G_max Omega^2 / (b^2 hyp))) / (2 Omega).  dR1/dt has
+    the sign of G and f > 0 iff R1 > R4, so f rises on each such interval: a
+    window runs from its G zero, or the one zero of f (bisected to adjacent
+    floats), to the other G zero or the horizon, and R1 peaks at its right
+    end.  R1 - 1 at the right ends falls by exp(-2a pi/(2 Omega)) per period,
+    and a later window can only be clipped shorter by the horizon, so the
+    first window's right end sets mu_upper_corrected = 1 / R1(t_bar + right)
+    and the scan stops at the first right end with f <= 0.  At a = 0 windows recur every period, and a
     horizon over ``MAX_WINDOW_PERIODS`` periods raises ``ValueError``; so do
     creating rates whose G_max overflows (b above about 1.2e77).
     """
@@ -379,7 +370,7 @@ def detect_windows(p: ModelParams, t_max_offset: float | None = None) -> WindowR
 
     half = 0.0
     if can_create_entanglement(p):  # the ratio below divides by b
-        g_max = _g_max(p)
+        g_max = p.G_max
         if not math.isfinite(g_max):
             raise ValueError(f"a={p.a}, b={p.b}, omega={p.omega} give G_max={g_max}, not finite")
         ratio = max(g_max, 0.0) * big_omega * big_omega / (p.b * p.b * p.hyp)

@@ -29,6 +29,7 @@ from .bipartite import (concurrence_curve, detect_windows, eigenvalues_closed_fo
 from .oracle import MAX_STEPS, IntegratorConfig
 from .semigroup import (BlochVector, ModelParams, StochasticFieldParams, bloch_trajectory,
                         classify, derive_params, norm_bound_max)
+from .slippage import checked_mu
 
 SCHEMA_VERSION = 1
 
@@ -109,11 +110,6 @@ def _cmd_derive_params(args, eff: dict) -> tuple[str, int]:
     return _json_doc({**rates._asdict(), "b_abs": abs(rates.b_raw)}), 0
 
 
-def _check_mu(mu: float) -> None:
-    if not (0.0 <= mu <= 1.0):
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
-
-
 def _check_grid(steps: int, t_max: float, omega: float) -> None:
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
@@ -129,8 +125,7 @@ def _check_grid(steps: int, t_max: float, omega: float) -> None:
 
 
 def _cmd_eigs(args, eff: dict) -> tuple[str, int]:
-    mu = eff["mu"]
-    _check_mu(mu)
+    mu = checked_mu(eff["mu"])
     p = ModelParams(eff["a"], eff["b"], eff["omega"])
     _check_grid(eff["steps"], eff["t-max"], p.omega)
     times = np.arange(eff["steps"] + 1) * eff["t-max"] / eff["steps"]
@@ -173,8 +168,7 @@ def _cmd_evolve(args, eff: dict) -> tuple[str, int]:
 
 
 def _cmd_verify(args, eff: dict) -> tuple[str, int]:
-    mu, tol_ode, t_max = eff["mu"], eff["tol"], eff["t-max"]
-    _check_mu(mu)
+    mu, tol_ode, t_max = checked_mu(eff["mu"]), eff["tol"], eff["t-max"]
     if not (0.0 < tol_ode < math.inf):
         raise ValueError(f"tol must be finite and > 0, got {tol_ode}")
     p = ModelParams(eff["a"], eff["b"], eff["omega"])

@@ -53,8 +53,9 @@ class ModelParams:
 
     The derived constants are cached properties, computed once per instance:
     ``Omega``; ``hyp = sqrt(Omega^2 + a^2)``; the time ``t_star`` and value
-    ``R4`` of the positivity radius peak; and ``t_bar = t_star / 2``, where
-    the rate factor G of ``qslip.bipartite`` peaks.
+    ``R4`` of the positivity radius peak; ``t_bar = t_star / 2``, where the
+    rate factor G of ``qslip.bipartite`` peaks; G's peak ``G_max`` and its
+    amplitude ``G_amplitude``.
     """
 
     a: float
@@ -107,6 +108,24 @@ class ModelParams:
     def t_bar(self) -> float:
         """Time t_star / 2 where the rate factor G peaks."""
         return self.t_star / 2.0
+
+    @cached_property
+    def G_max(self) -> float:
+        """Peak b^2 / (2 (hyp + a)) - a of the rate factor G, taken without
+        cancellation near the creation threshold b^2 = 2 a omega as (b^2 - 2 a
+        omega)(b^2 + 2 a omega) / (2 (hyp + a)(b^2 - 2 a^2 + 2 a hyp)); the last
+        factor is >= b^2 > 0.  It is -a where b^2 rounds to 0 (b = 0, or b below
+        about 1.5e-162)."""
+        a, b2, hyp, two_a_omega = self.a, self.b * self.b, self.hyp, 2.0 * self.a * self.omega
+        if b2 == 0.0:
+            return -a
+        return ((b2 - two_a_omega) * (b2 + two_a_omega)
+                / (2.0 * (hyp + a) * (b2 - 2.0 * a * a + 2.0 * a * hyp)))
+
+    @cached_property
+    def G_amplitude(self) -> float:
+        """Amplitude b^2 hyp / Omega^2 of G's oscillation: G = G_max - G_amplitude sin^2(...)."""
+        return self.b * self.b * self.hyp / (self.Omega * self.Omega)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,18 @@ _CHOI_BASIS = np.array([np.kron(s, t).ravel() for s in (IDENTITY_2, PAULI_1, PAU
                         for t in (IDENTITY_2, PAULI_1, -PAULI_2, PAULI_3)]) / 4.0
 
 
+def checked_mu(mu: float) -> float:
+    """mu as a float, or ``ValueError`` unless 0 <= mu <= 1 (NaN fails too).
+
+    The one rule for mu: the contraction strength of ``SlippageChannel``, the
+    isotropic parameter of ``qslip.bipartite`` and the CLI's ``--mu``.
+    """
+    mu = float(mu)
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+    return mu
+
+
 @dataclass(frozen=True)
 class SlippageChannel:
     """Uniform Bloch contraction of strength mu in [0, 1]."""
@@ -48,9 +60,7 @@ class SlippageChannel:
     mu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        if not math.isfinite(self.mu) or not (0.0 <= self.mu <= 1.0):
-            raise ValueError(f"contraction strength mu must lie in [0, 1], got {self.mu}")
+        object.__setattr__(self, "mu", checked_mu(self.mu))
 
 
 def slippage_action(channel: SlippageChannel) -> np.ndarray:

@@ -8,6 +8,7 @@ from conftest import FIGURE_PARAMS, pauli_images, random_model_params
 from qslip import (
     IntegratorConfig,
     ModelParams,
+    SlippageChannel,
     can_create_entanglement,
     concurrence_closed_form,
     concurrence_curve,
@@ -93,9 +94,11 @@ def test_evolve_maximally_mixed_is_stationary():
     isotropic,
     lambda mu: evolve_isotropic(ModelParams(0.1, 0.9), mu, 0.5),
     lambda mu: concurrence_curve(ModelParams(0.1, 0.9), mu, 0.5),
-], ids=["isotropic", "evolve_isotropic", "concurrence_curve"])
+    SlippageChannel,
+], ids=["isotropic", "evolve_isotropic", "concurrence_curve", "SlippageChannel"])
 def test_isotropic_parameter_outside_the_unit_interval_is_rejected(call, mu):
-    # At t = 0 the evolved matrix is isotropic(mu), so it takes the same mu.
+    # At t = 0 the evolved matrix is isotropic(mu), so it takes the same mu,
+    # and the slippage channel's strength: one rule, slippage.checked_mu.
     with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\]"):
         call(mu)
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import math
@@ -32,7 +33,8 @@ from qslip.oracle import MAX_STEPS
 _DELETED_NAMES = ("kraus_operators", "kraus_apply", "apply_slippage", "identity_action",
                   "generator_split", "exit_rate", "as_array", "require_state",
                   "symmetric_projector", "partial_transpose_spectrum_check", "generator",
-                  "propagate", "from_density_matrix", "norm_squared")
+                  "propagate", "from_density_matrix", "norm_squared", "_g_max", "_check_mu",
+                  "_checked_mu")
 
 
 def test_config_validation():
@@ -490,6 +492,24 @@ def test_closed_forms_never_import_the_oracle_layer():
                 continue
             if any("oracle" in name.split(".") for name in names):
                 offenders.append(f"{stem}.py:{node.lineno}")
+    assert offenders == []
+
+
+def test_oracle_reads_no_cached_model_constant():
+    # The oracles read only the rates a, b and omega of a ModelParams, never
+    # a derived constant it caches (Omega, R4, G_max, ...), or an error in
+    # that constant would move the oracle and the closed form together.  The
+    # forbidden names are every cached property of ModelParams, so a constant
+    # cached later is covered too; getattr with a literal name counts.
+    cached = {name for name, member in vars(ModelParams).items()
+              if isinstance(member, functools.cached_property)}
+    assert cached
+    offenders = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in cached:
+            offenders.append(f"oracle.py:{node.lineno} .{node.attr}")
+        elif isinstance(node, ast.Constant) and node.value in cached:
+            offenders.append(f"oracle.py:{node.lineno} {node.value!r}")
     assert offenders == []
 
 

@@ -44,7 +44,8 @@ from qslip import (
 
 _B_FRACTIONS = st.one_of(
     st.floats(1e-3, 0.999),
-    st.sampled_from([1e-12, 1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]),
+    # b = 0 is the completely positive branch, where G_max is -a.
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]),
 )
 _RATES = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 50.0))
 _TIMES = st.one_of(
