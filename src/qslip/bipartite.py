@@ -86,7 +86,13 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
 
 def _spectrum_entries(p: ModelParams, t, k):
     """Decay-weighted spectral ingredients: exp(-2at)*sqrt(1+(b/Omega)^2 s^2)
-    and exp(-2at)*(b/Omega)*s with s = sin(2 Omega t), for ``t, k = time_kernel(t)``."""
+    and exp(-2at)*(b/Omega)*s with s = sin(2 Omega t), for ``t, k = time_kernel(t)``.
+
+    ``r4_curve`` writes the signed term out again, in the same order of
+    operations, to skip the square root it does not use (golden-section
+    maximization of R4 calls it about a thousand times per run); a change to
+    either formula changes both places.
+    """
     big_omega = p.Omega
     decay = k.exp(-2.0 * p.a * t)
     s = k.sin(2.0 * big_omega * t)
@@ -113,20 +119,16 @@ def eigenvalues_closed_form(p: ModelParams, mu: float, t):
     changes sign.  A scalar t gives four floats, an array t four arrays.
     """
     t, k = time_kernel(t)
-    mu = float(mu)
-    # The formulas of _spectrum, written out: one frame less on the scalar path.
-    root, signed = _spectrum_entries(p, t, k)
-    return (k.out(0.25 * (1.0 + mu * (1.0 + 2.0 * root))),
-            k.out(0.25 * (1.0 + mu * (1.0 - 2.0 * root))),
-            k.out(0.25 * (1.0 - mu * (1.0 - 2.0 * signed))),
-            k.out(0.25 * (1.0 - mu * (1.0 + 2.0 * signed))))
+    _, (e1, e2, e3, e4) = _spectrum(p, float(mu), t, k)
+    return k.out(e1), k.out(e2), k.out(e3), k.out(e4)
 
 
 def r4_curve(p: ModelParams, t):
     """Positivity radius R4(t) = 1 + 2 exp(-2at) (b/Omega) sin(2 Omega t)."""
     t, k = time_kernel(t)
     big_omega = p.Omega
-    # The signed term of _spectrum_entries alone, in its order of operations.
+    # The signed term of _spectrum_entries alone, in its order of operations:
+    # keep the two in step.
     signed = k.exp(-2.0 * p.a * t) * (p.b / big_omega) * k.sin(2.0 * big_omega * t)
     return k.out(1.0 + 2.0 * signed)
 
