@@ -40,7 +40,6 @@ from .semigroup import (
     DerivedRates,
     ModelParams,
     StochasticFieldParams,
-    bloch_propagator,
     bloch_trajectory,
     classify,
     derive_params,
@@ -70,7 +69,6 @@ __all__ = [
     "StochasticFieldParams",
     "Trajectory",
     "WindowReport",
-    "bloch_propagator",
     "bloch_trajectory",
     "can_create_entanglement",
     "choi_matrix",

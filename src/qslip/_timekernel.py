@@ -1,12 +1,13 @@
 """Scalar-or-array arithmetic for the time argument of the closed forms.
 
-``time_kernel(t)`` picks, once per call, the arithmetic a closed form runs
-on, so each closed form keeps one body for both kinds of input.  A scalar
-time (``float``, ``int``, or ``np.float64``, which subclasses ``float``)
-runs on Python floats through ``math`` and skips numpy's per-call dispatch,
-which costs more than the arithmetic itself; an exact ``float``, what the
-golden-section maximizer passes, is the kernel's first test and comes back
-unconverted.  Anything else (an ndarray, a 0-d array, a list) runs on numpy.
+``time_kernel(t)`` settles, once per call, whether a time is a scalar, and
+so the arithmetic a closed form runs on: each closed form keeps one body for
+both kinds of input and returns what that body computes.  A scalar time
+(``float``, ``int``, ``np.float64``, which subclasses ``float``, or a 0-d
+array) becomes a Python float and runs through ``math``, skipping numpy's
+per-call dispatch, which costs more than the arithmetic itself; an exact
+``float``, what the golden-section maximizer passes, is the kernel's first
+test and comes back unconverted.  Any other array, or a list, runs on numpy.
 
 It is also the one time gate: a time not finite and >= 0 raises ``ValueError``.
 
@@ -27,6 +28,7 @@ The scalar path is bit-identical to element i of the array path:
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,29 +52,27 @@ SCALAR = SimpleNamespace(
     sin=_nan_off_domain(math.sin),
     cos=_nan_off_domain(math.cos),
     sqrt=math.sqrt,  # only ever given values >= 1 or NaN, never negatives
-    out=float,
 )
 
-ARRAY = SimpleNamespace(
-    exp=np.exp,
-    sin=np.sin,
-    cos=np.cos,
-    sqrt=np.sqrt,
-    # A 0-d input gives numpy scalars, which callers receive as floats.
-    out=lambda v: v if v.ndim else float(v),
-)
+ARRAY = SimpleNamespace(exp=np.exp, sin=np.sin, cos=np.cos, sqrt=np.sqrt)
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def time_kernel(t):
-    """``(t, ops)``: a scalar t as a Python float with ``SCALAR``, else a float array with ``ARRAY``."""
+    """``(t, ops)``: a scalar or 0-d t as a float with ``SCALAR``, else a float array with ``ARRAY``."""
     if type(t) is float and 0.0 <= t < math.inf:  # the fast path: no conversion
         return t, SCALAR
-    if isinstance(t, (float, int)):
-        if 0.0 <= t < math.inf:
-            return float(t), SCALAR
-    else:
-        t = np.asarray(t, dtype=float)
-        if not t.size or (t.min() >= 0.0 and t.max() < math.inf):  # a NaN makes both false
-            return t, ARRAY
-        t = t.flat[np.argmin((t >= 0.0) & (t < math.inf))]  # the first time out of the domain
+    if not isinstance(t, (float, int)):
+        try:
+            t = np.asarray(t, dtype=float)
+        except OverflowError:  # an int too large for a float
+            t = np.asarray(t, dtype=object)
+        else:
+            if t.ndim and (not t.size or (t.min() >= 0.0 and t.max() < math.inf)):  # NaN fails both
+                return t, ARRAY
+        # A 0-d array takes the scalar path; an array out of the domain names its first bad time.
+        t = next(x for x in t.flat if not 0.0 <= x <= _FLOAT_MAX) if t.ndim else t.item()
+    if 0.0 <= t <= _FLOAT_MAX:  # exact on an int, so one too large for a float fails
+        return float(t), SCALAR
     raise ValueError(f"time must be >= 0 and finite, got {t}")

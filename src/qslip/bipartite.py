@@ -18,11 +18,13 @@ the two 2x2 blocks of an X-shaped state, in Python scalars), the RK4
 integrator, the golden-section maximizer or a dense-grid window scan.
 
 The time-dependent closed forms, and the corners of ``evolve_isotropic``,
-take time through one kernel (``qslip._timekernel``): a scalar time runs on
-Python floats and returns a ``float`` bit-identical to the matching element
-of the array path, NaN included (the decay factor exp(-2at) still comes
-from ``np.exp``; that module says why).  The rate factor's peak G_max and
-its amplitude are constants of the rates, cached on ``ModelParams``.
+take time through one kernel (``qslip._timekernel``), which alone settles
+whether a time is a scalar, so each form returns its arithmetic as it is: a
+scalar time (a 0-d array included) runs on Python floats and gives a
+``float`` bit-identical to the matching element of the array path, NaN
+included (the decay factor exp(-2at) still comes from ``np.exp``; that
+module says why).  The rate factor's peak G_max and its amplitude are
+constants of the rates, cached on ``ModelParams``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     images; at t = 0 this is ``isotropic(mu)``.
     """
     mu = checked_mu(mu)
-    t, k = time_kernel(float(t))
+    t, k = time_kernel(t)
     big_omega = p.Omega
     decay = k.exp(-2.0 * p.a * t)
     s = k.sin(2.0 * big_omega * t)
@@ -119,8 +121,7 @@ def eigenvalues_closed_form(p: ModelParams, mu: float, t):
     changes sign.  A scalar t gives four floats, an array t four arrays.
     """
     t, k = time_kernel(t)
-    _, (e1, e2, e3, e4) = _spectrum(p, float(mu), t, k)
-    return k.out(e1), k.out(e2), k.out(e3), k.out(e4)
+    return _spectrum(p, float(mu), t, k)[1]
 
 
 def r4_curve(p: ModelParams, t):
@@ -130,7 +131,7 @@ def r4_curve(p: ModelParams, t):
     # The signed term of _spectrum_entries alone, in its order of operations:
     # keep the two in step.
     signed = k.exp(-2.0 * p.a * t) * (p.b / big_omega) * k.sin(2.0 * big_omega * t)
-    return k.out(1.0 + 2.0 * signed)
+    return 1.0 + 2.0 * signed
 
 
 def r4_max(p: ModelParams):
@@ -149,7 +150,7 @@ def r1_curve(p: ModelParams, t):
     """
     t, k = time_kernel(t)
     root, _ = _spectrum_entries(p, t, k)
-    return k.out(1.0 + 2.0 * root)
+    return 1.0 + 2.0 * root
 
 
 def positivity_bound(p: ModelParams) -> float:
@@ -202,7 +203,7 @@ def concurrence_wootters(rho) -> float:
         eigs = qmat.hermitian_x_eig([[r00, 0j, 0j, r03], [0j, r11, r12, 0j],
                                      [0j, r21, r22, 0j], [r30, 0j, 0j, r33]])[0]
     else:
-        sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ qmat.dagger(v)
+        sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
         rho_tilde = _FLIP_SIGNS * np.conj(rho[::-1, ::-1])
         # hermitian_eigenvalues symmetrizes the round-off of the product itself.
         eigs = qmat.hermitian_eigenvalues(sqrt_rho @ rho_tilde @ sqrt_rho).tolist()
@@ -265,7 +266,7 @@ def concurrence_rate_factor(p: ModelParams, t):
     ``qslip.oracle.rate_factor_product_form``, the tests' reference.
     """
     t, k = time_kernel(t)
-    return k.out(_rate_factor_at_offset(p, t - p.t_bar, k))
+    return _rate_factor_at_offset(p, t - p.t_bar, k)
 
 
 def rate_factor_max(p: ModelParams):
@@ -309,7 +310,7 @@ def window_functions(p: ModelParams, t_offset):
     t_offset, k = time_kernel(t_offset)
     f, root = _window_terms(p, t_offset, k)
     r1 = 1.0 + 2.0 * (k.exp(-2.0 * p.a * (p.t_bar + t_offset)) * root)  # as r1_curve forms it
-    return k.out(f), k.out(_rate_factor_at_offset(p, t_offset, k)), k.out(r1) - 3.0
+    return f, _rate_factor_at_offset(p, t_offset, k), r1 - 3.0
 
 
 @dataclass(frozen=True)

@@ -248,4 +248,4 @@ def rate_factor_product_form(p: ModelParams, t):
     big_omega = math.sqrt(p.omega * p.omega - p.b * p.b)
     scale = p.b * p.b * math.hypot(big_omega, p.a) / (big_omega * big_omega)
     x = 2.0 * big_omega * t
-    return k.out(scale * k.cos(x + math.atan2(p.a, big_omega)) * k.sin(x) - p.a)
+    return scale * k.cos(x + math.atan2(p.a, big_omega)) * k.sin(x) - p.a

@@ -51,17 +51,12 @@ PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(m).T)
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M^dagger|, the absolute deviation from Hermiticity; NaN for
     a non-finite entry (inf - inf), so ``not defect <= tol`` rejects it."""
     m = np.asarray(m, dtype=complex)
     with np.errstate(invalid="ignore"):
-        return float(np.abs(m - dagger(m)).max())
+        return float(np.abs(m - m.conj().T).max())
 
 
 def _not_hermitian(rows: list) -> ValueError:

@@ -21,10 +21,11 @@ last case Bloch vectors can leave the unit ball, with peak radius given by
 ``norm_bound_max``.  A converter from raw stochastic-field constants to the
 model rates is included.
 
-``bloch_propagator``, ``norm_bound_curve`` and ``bloch_trajectory`` take
-time through one scalar-or-array kernel (``qslip._timekernel``, which
-rejects a time that is not finite and >= 0, and says how its scalar path
-stays bit-identical to the array path).
+``norm_bound_curve`` and ``bloch_trajectory`` take time through one
+scalar-or-array kernel (``qslip._timekernel``, which rejects a time that is
+not finite and >= 0, and says how its scalar path stays bit-identical to the
+array path).  The propagator exp(-2 t L) itself is written once, as the
+lower-right 3x3 block of the Pauli-basis matrix ``qslip.slippage.semigroup_action``.
 """
 
 from __future__ import annotations
@@ -236,25 +237,9 @@ def classify(p: ModelParams) -> Classification:
     return Classification.NON_POSITIVE
 
 
-def bloch_propagator(p: ModelParams, t: float) -> np.ndarray:
-    """Analytic 3x3 Bloch propagator exp(-2 t L) of the model at a scalar time t."""
-    t, k = time_kernel(t)
-    big_omega = p.Omega
-    decay = k.exp(-2.0 * p.a * t)
-    c = k.cos(2.0 * big_omega * t)
-    s = k.sin(2.0 * big_omega * t)
-    return np.array(
-        [
-            [decay * c, -decay * (p.omega + p.b) / big_omega * s, 0.0],
-            [decay * (p.omega - p.b) / big_omega * s, decay * c, 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-
-
 def bloch_trajectory(p: ModelParams, r: BlochVector, times) -> np.ndarray:
     """Closed-form trajectory sampled at an array of times >= 0, shape (n, 3)."""
-    times, _ = time_kernel(np.asarray(times, dtype=float))
+    times, _ = time_kernel(times)
     big_omega = p.Omega
     decay = np.exp(-2.0 * p.a * times)
     c = np.cos(2.0 * big_omega * times)
@@ -277,7 +262,7 @@ def norm_bound_curve(p: ModelParams, t):
     s = k.sin(2.0 * t * big_omega)
     ratio = p.b / big_omega
     peak = ratio * abs(s) + k.sqrt(1.0 + ratio * ratio * s * s)
-    return k.out(k.exp(-4.0 * p.a * t) * (peak * peak))
+    return k.exp(-4.0 * p.a * t) * (peak * peak)
 
 
 def norm_bound_max(p: ModelParams):

@@ -12,7 +12,8 @@ inside the ball once mu is small enough.
 
 A qubit map M is represented by its 4x4 matrix on the Pauli basis
 (1, s1, s2, s3), with entry [j, k] = tr(s_j M(s_k)) / 2, so composing maps
-is a matrix product; every map built here is real in this basis.  The
+is a matrix product; every map built here is real in this basis.
+``semigroup_action`` is the one matrix form of the dephasing semigroup.  The
 Choi matrix applies the map to the first factor of the maximally entangled
 projector; the map is completely positive exactly when that matrix has
 nonnegative spectrum.
@@ -29,7 +30,7 @@ import numpy as np
 from . import qmat
 from ._timekernel import time_kernel
 from .qmat import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
-from .semigroup import ModelParams, bloch_propagator
+from .semigroup import ModelParams
 
 # Choi eigenvalues above this floor count as nonnegative; genuine
 # violations at the parameter scales of interest are O(0.1).
@@ -71,14 +72,21 @@ def slippage_action(channel: SlippageChannel) -> np.ndarray:
 def semigroup_action(p: ModelParams) -> Callable[[float], np.ndarray]:
     """Time-indexed Pauli-basis matrix of the dephasing semigroup.
 
-    At time t it is the analytic Bloch propagator ``bloch_propagator(p, t)``
-    with the identity's row and column (1, 0, 0, 0) around it.
+    At a scalar time t: the analytic Bloch propagator exp(-2 t L) of
+    ``qslip.semigroup`` as the lower-right 3x3 block, and the identity's
+    row and column (1, 0, 0, 0) around it.
     """
 
     def action(t: float) -> np.ndarray:
-        m = np.eye(4)
-        m[1:, 1:] = bloch_propagator(p, t)
-        return m
+        t, k = time_kernel(t)
+        big_omega = p.Omega
+        decay = k.exp(-2.0 * p.a * t)
+        c = k.cos(2.0 * big_omega * t)
+        s = k.sin(2.0 * big_omega * t)
+        return np.array([[1.0, 0.0, 0.0, 0.0],
+                         [0.0, decay * c, -decay * (p.omega + p.b) / big_omega * s, 0.0],
+                         [0.0, decay * (p.omega - p.b) / big_omega * s, decay * c, 0.0],
+                         [0.0, 0.0, 0.0, 1.0]])
 
     return action
 
@@ -117,7 +125,7 @@ def is_completely_positive(
     True iff the smallest Choi eigenvalue stays above ``CP_EIG_FLOOR`` at
     every grid point; the worst point is reported either way.
     """
-    t_grid, _ = time_kernel(np.asarray(t_grid, dtype=float))
+    t_grid, _ = time_kernel(t_grid)
     if t_grid.size == 0:
         raise ValueError("time grid must not be empty")
     worst_t, worst_eig = float(t_grid[0]), math.inf

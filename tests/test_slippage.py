@@ -9,7 +9,6 @@ from conftest import pauli_images, random_bloch_in_ball
 from qslip import (
     BlochVector,
     ModelParams,
-    bloch_propagator,
     SlippageChannel,
     choi_matrix,
     compose_actions,
@@ -34,7 +33,7 @@ def _kraus_operators(mu):
 
 def _kraus_apply(mu, rho):
     """rho -> sum_k K rho K^dagger, an independent form of the channel."""
-    return sum(k @ rho @ qmat.dagger(k) for k in _kraus_operators(mu))
+    return sum(k @ rho @ k.conj().T for k in _kraus_operators(mu))
 
 
 def _apply_action(action, r):
@@ -61,7 +60,7 @@ def test_apply_slippage_examples():
 def test_kraus_completeness():
     for mu in np.linspace(0.0, 1.0, 21):
         ops = _kraus_operators(mu)
-        total = sum(qmat.dagger(g) @ g for g in ops)
+        total = sum(g.conj().T @ g for g in ops)
         assert np.abs(total - np.eye(2)).max() <= 1e-14
 
 
@@ -194,11 +193,10 @@ def test_compose_scales_pauli_images():
         assert np.abs(composed[:, k] - mu * direct[:, k]).max() <= 1e-14
 
 
-def test_semigroup_action_is_the_bloch_propagator_with_an_identity_corner():
+def test_semigroup_action_has_an_identity_corner():
     p = ModelParams(0.3, 0.8)
     for t in (0.0, 0.7, 2.5):
         action = semigroup_action(p)(t)
-        assert action[1:, 1:].tobytes() == bloch_propagator(p, t).tobytes()
         assert action[0].tolist() == [1.0, 0.0, 0.0, 0.0]
         assert action[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 

@@ -7,8 +7,9 @@ exactly: same bits, the same sign of zero, and NaN wherever the array path
 gives NaN.  The domain covers its edges: a = 0, b -> 0, b -> omega, large
 a*t, and finite times whose phase 2 Omega t overflows to inf.
 
-A time that is negative, NaN or infinite is outside the domain: every
-callable that takes a time rejects it, through the kernel's one gate.
+A time that is negative, NaN, infinite or an int too large for a float is
+outside the domain: every callable that takes a time rejects it, through
+the kernel's one gate.
 """
 
 import ast
@@ -25,7 +26,6 @@ import qslip
 from qslip import (
     BlochVector,
     ModelParams,
-    bloch_propagator,
     bloch_trajectory,
     concurrence_closed_form,
     concurrence_curve,
@@ -101,6 +101,7 @@ def test_scalar_calls_match_array_elements(case):
             r4_curve: r4_curve(p, grid),
             concurrence_rate_factor: concurrence_rate_factor(p, grid),
             norm_bound_curve: norm_bound_curve(p, grid),
+            rate_factor_product_form: rate_factor_product_form(p, grid),
         }
         windows = window_functions(p, grid)
         eigenvalues = eigenvalues_closed_form(p, mu, grid)
@@ -128,7 +129,7 @@ def test_propagator_decay_matches_trajectory():
     # Both read exp(-2at) through np.exp; math.exp differs in the last ulp here.
     p, t = ModelParams(0.08564916714362436, 0.9), 1.1840525329804985
     image = bloch_trajectory(p, BlochVector(1.0, 0.0, 0.0), [t])[0, 0]
-    assert bloch_propagator(p, t)[0, 0] == image
+    assert semigroup_action(p)(t)[1, 1] == image
 
 
 _P = ModelParams(0.1, 0.9)
@@ -142,7 +143,6 @@ _TIME_CALLABLES = {
     "concurrence_curve": (lambda t: concurrence_curve(_P, 0.2, t), ("scalar", "array")),
     "concurrence_rate_factor": (lambda t: concurrence_rate_factor(_P, t), ("scalar", "array")),
     "window_functions": (lambda t: window_functions(_P, t), ("scalar", "array")),
-    "bloch_propagator": (lambda t: bloch_propagator(_P, t), ("scalar",)),
     "bloch_trajectory": (lambda t: bloch_trajectory(_P, BlochVector(0.5, 0.5, 0.0), t), ("array",)),
     "norm_bound_curve": (lambda t: norm_bound_curve(_P, t), ("scalar", "array")),
     "semigroup_action": (lambda t: semigroup_action(_P)(t), ("scalar",)),
@@ -152,7 +152,7 @@ _TIME_CALLABLES = {
 }
 
 
-@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 10**400], ids=["negative", "nan", "inf", "huge-int"])
 @pytest.mark.parametrize("name, form", [(name, form) for name, (_, forms) in _TIME_CALLABLES.items()
                                         for form in forms])
 def test_every_time_callable_rejects_a_time_outside_the_domain(name, form, t):
