@@ -2,8 +2,9 @@
 
 ``qslip verify`` and the acceptance suite call these checks, each with its
 own sample points and tolerances.  A check returns its largest absolute
-deviation: 0 for no point, NaN if any is NaN.  Closed forms and oracles are
-reached as module attributes, so a test can replace either side.
+deviation (a peak time's relative to its scale): 0 for no point, NaN if any
+is NaN.  Closed forms and oracles are reached as module attributes, so a
+test can replace either side.
 """
 
 import math
@@ -52,15 +53,17 @@ def concurrence_vs_wootters(p: semigroup.ModelParams, mus, times) -> tuple[float
 def maxima_vs_golden_section(p: semigroup.ModelParams) -> float:
     """Closed-form peaks (R, t'), (R4, t*), (G, t_bar) against golden section
     over [0, pi / (2 Omega)], G from the product form.  A peak time counts only
-    where it is unique: not R's for a >= b (no interior peak), nor R4's and G's at b = 0 (flat)."""
+    where it is unique: not R's for a >= b (no interior peak), nor R4's and G's at b = 0 (flat).
+    Golden section fixes a smooth peak only to about sqrt(eps) times its time
+    scale, so a peak time deviates by ``|t_peak - t_num| / max(1, t_peak)``."""
     bracket = math.pi / (2.0 * p.Omega)
     devs = []
     for (peak, t_peak), curve, unique in (
-        (semigroup.norm_bound_max(p), lambda t: math.sqrt(semigroup.norm_bound_curve(p, t)),
+        (semigroup.norm_bound_max(p), lambda t: np.sqrt(semigroup.norm_bound_curve(p, t)),
          p.a < p.b),
         (bipartite.r4_max(p), lambda t: bipartite.r4_curve(p, t), p.b > 0.0),
         (bipartite.rate_factor_max(p), lambda t: oracle.rate_factor_product_form(p, t), p.b > 0.0),
     ):
         t_num, v_num = oracle.maximize_scalar(curve, 0.0, bracket)
-        devs += [abs(peak - v_num), abs(t_peak - t_num) if unique else 0.0]
+        devs += [abs(peak - v_num), abs(t_peak - t_num) / max(1.0, t_peak) if unique else 0.0]
     return float(np.max(devs, initial=0.0))

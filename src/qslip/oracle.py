@@ -14,6 +14,11 @@ written out over the entries that move, with each entry and generator
 value a local variable.  The generated source holds only indices and fixed
 names, the values arrive as arguments, and the compiled function is cached
 per pattern in a fixed-size ``functools.lru_cache``.
+
+The maximizer reads only the curve it is given.  It evaluates its coarse
+grid in one call on the grid array where the curve takes arrays, which the
+closed forms' array paths make bit-identical to a per-point grid, and
+otherwise point by point on Python floats.
 """
 
 from __future__ import annotations
@@ -217,13 +222,30 @@ def maximize_scalar(fn: Callable[[float], float], t_lo: float, t_hi: float):
     of every curve in this package), and golden-section search refines it to
     width ``_BRACKET_TOL``, or until the float bracket stops shrinking, since
     far from zero that width can lie below the float spacing.  Returns ``(t_at_max, value)``.
+
+    ``fn`` takes a float.  The grid goes to it first as one array: a curve
+    that answers with an array of the grid's shape is evaluated in that one
+    call, which for the package's closed forms is bit-identical to calling
+    it per point.  Any other curve (one that raises ``TypeError`` or
+    ``ValueError`` on the array, or returns something else) gets the grid
+    point by point as Python floats, where a genuine error raises.  So does
+    a grid whose array arithmetic overflows, divides by zero or forms a NaN:
+    numpy would warn there, where Python float arithmetic stays silent.  The
+    golden section always calls ``fn`` on Python floats.
     """
     if not (-math.inf < t_lo < t_hi < math.inf):
         raise ValueError(f"need finite t_lo < t_hi, got {t_lo}, {t_hi}")
-    grid = np.linspace(t_lo, t_hi, _COARSE_POINTS).tolist()  # Python floats, as fn prefers
-    best = int(np.argmax([fn(t) for t in grid]))
-    lo = grid[best - 1] if best > 0 else grid[0]
-    hi = grid[best + 1] if best < len(grid) - 1 else grid[-1]
+    grid = np.linspace(t_lo, t_hi, _COARSE_POINTS)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = fn(grid)
+    except (TypeError, ValueError, FloatingPointError):
+        values = None
+    if not (isinstance(values, np.ndarray) and values.shape == grid.shape):
+        values = [fn(t) for t in grid.tolist()]  # Python floats, as fn prefers
+    best = int(np.argmax(values))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, _COARSE_POINTS - 1)])
     while hi - lo > _BRACKET_TOL:
         c = hi - (hi - lo) / _GOLDEN
         d = lo + (hi - lo) / _GOLDEN

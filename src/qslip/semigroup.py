@@ -172,7 +172,9 @@ class StochasticFieldParams:
 
     ``g1 > g2 > 0`` and ``g3 > 0`` are the noise strengths, ``lam`` the
     transverse and ``lam3`` the longitudinal correlation rates, and
-    ``omega_tilde`` the bare precession frequency.
+    ``omega_tilde`` the bare precession frequency.  ``derive_params``
+    divides by ``lam^2 + 4 omega_tilde^2``, which must neither underflow to
+    0 nor overflow.
     """
 
     g1: float
@@ -190,6 +192,10 @@ class StochasticFieldParams:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.g1 <= self.g2:
             raise ValueError(f"g1 must exceed g2, got g1={self.g1}, g2={self.g2}")
+        den = self.lam * self.lam + 4.0 * self.omega_tilde * self.omega_tilde
+        if not 0.0 < den < math.inf:
+            raise ValueError(f"lam^2 + 4 omega_tilde^2 must be finite and > 0, got {den} "
+                             f"for lam={self.lam}, omega_tilde={self.omega_tilde}")
 
 
 class DerivedRates(NamedTuple):

@@ -28,3 +28,14 @@ def test_check_catches_its_closed_form_off_by_ten_tolerances(monkeypatch, module
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: np.add(original(*args), 10.0 * tol))
     assert check() > tol
+
+
+def test_maxima_check_compares_a_large_peak_time_relative_to_its_scale(monkeypatch):
+    # Near b = omega, t* lies near 5.6e5: golden section's sqrt(eps)-scale
+    # placement passes, and a relative shift of ten tolerances fails.
+    p = ModelParams(0.0, 0.999999999999)
+    assert crosscheck.maxima_vs_golden_section(p) <= 1e-6
+    original = bipartite.r4_max
+    monkeypatch.setattr(bipartite, "r4_max",
+                        lambda q: (original(q)[0], original(q)[1] * (1.0 + 1e-5)))
+    assert crosscheck.maxima_vs_golden_section(p) > 1e-6

@@ -20,6 +20,7 @@ from qslip import (
     integrate_master_4x4,
     isotropic,
     maximize_scalar,
+    norm_bound_curve,
     r4_curve,
     r4_max,
     concurrence_rate_factor,
@@ -434,6 +435,87 @@ def test_maximizer_is_deterministic():
     first = maximize_scalar(lambda x: r4_curve(p, x), 0.0, 3.0)
     second = maximize_scalar(lambda x: r4_curve(p, x), 0.0, 3.0)
     assert first == second
+
+
+def _array_capable_curves(p):
+    return {
+        "r4_curve": lambda t: r4_curve(p, t),
+        "concurrence_rate_factor": lambda t: concurrence_rate_factor(p, t),
+        "rate_factor_product_form": lambda t: oracle.rate_factor_product_form(p, t),
+        "sqrt_norm_bound_curve": lambda t: np.sqrt(norm_bound_curve(p, t)),
+    }
+
+
+def test_maximizer_grid_call_is_bit_identical_to_the_per_point_grid():
+    # float(curve(t)) raises TypeError on the grid array, which forces the
+    # per-point grid; the one-call grid must pick the same bracket and so
+    # return the same (t, value) to the bit.
+    rng = np.random.default_rng(27)
+    points = [random_model_params(rng) for _ in range(12)]
+    points += [ModelParams(0.3, 0.0), ModelParams(0.0, 0.5), ModelParams(0.0, 0.999999999999)]
+    for p in points:
+        bracket = math.pi / (2.0 * p.Omega)
+        for name, curve in _array_capable_curves(p).items():
+            one_call = maximize_scalar(curve, 0.0, bracket)
+            per_point = maximize_scalar(lambda t: float(curve(t)), 0.0, bracket)
+            assert one_call == per_point, (p, name)
+
+
+def test_maximizer_evaluates_the_coarse_grid_in_one_array_call():
+    p = ModelParams(0.1, 0.9)
+    calls = []
+
+    def recording(t):
+        calls.append(t)
+        return r4_curve(p, t)
+
+    maximize_scalar(recording, 0.0, 3.0)
+    first, *rest = calls
+    assert isinstance(first, np.ndarray) and first.shape == (1000,)
+    assert rest and all(type(t) is float for t in rest)
+
+
+def test_maximizer_evaluates_a_float_only_curve_per_point():
+    calls = []
+
+    def recording(t):
+        calls.append(t)
+        return math.sin(t)  # TypeError on an array
+
+    t, v = maximize_scalar(recording, 0.0, 3.0)
+    assert abs(t - math.pi / 2.0) <= 1e-6 and abs(v - 1.0) <= 1e-12
+    assert isinstance(calls[0], np.ndarray)
+    assert calls[1:1001] == np.linspace(0.0, 3.0, 1000).tolist()
+    assert all(type(t) is float for t in calls[1:])
+
+
+@pytest.mark.parametrize("curve", [
+    # `t < 2.0` on an array raises ValueError (ambiguous truth value).
+    lambda t: -(t - 0.7) * (t - 0.7) if t < 2.0 else -9.0,
+    lambda t: -(t - 0.7) * (t - 0.7) if np.ndim(t) == 0 else np.zeros(3),
+    lambda t: -(t - 0.7) * (t - 0.7) if np.ndim(t) == 0 else 0.0,
+], ids=["raises", "wrong-shape", "not-an-array"])
+def test_maximizer_falls_back_on_a_curve_without_an_array_answer(curve):
+    t, v = maximize_scalar(curve, 0.0, 3.0)
+    assert abs(t - 0.7) <= 1e-6 and abs(v) <= 1e-12
+
+
+def test_maximizer_falls_back_where_array_arithmetic_would_warn():
+    # On this grid the product form forms inf * 0 on arrays, which numpy
+    # warns about (an error under this suite's filter); per point, Python
+    # float arithmetic stays silent, as it did before the one-call grid.
+    p = ModelParams(1e102, 1e103, 2e103)
+    curve = _array_capable_curves(p)["rate_factor_product_form"]
+    bracket = math.pi / (2.0 * p.Omega)
+    assert maximize_scalar(curve, 0.0, bracket) == maximize_scalar(
+        lambda t: float(curve(t)), 0.0, bracket)
+
+
+def test_maximizer_names_a_negative_bracket_start_through_the_time_gate():
+    p = ModelParams(0.1, 0.9)
+    for curve in _array_capable_curves(p).values():
+        with pytest.raises(ValueError, match=r"^time must be >= 0 and finite, got -0\.5$"):
+            maximize_scalar(curve, -0.5, 1.0)
 
 
 def test_integrators_accept_random_params():

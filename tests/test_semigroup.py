@@ -105,6 +105,10 @@ def test_stochastic_params_validation():
         StochasticFieldParams(1.0, 2.0, 1.0, 1.0, 1.0, 1.0)  # g1 <= g2
     with pytest.raises(ValueError):
         StochasticFieldParams(2.0, 1.0, -1.0, 1.0, 1.0, 1.0)
+    # den = lam^2 + 4 omega_tilde^2 underflows to 0 or overflows to inf.
+    for lam, omega_tilde in ((1e-170, 1e-170), (1e200, 1.0), (1.0, 1e200)):
+        with pytest.raises(ValueError, match="lam\\^2 \\+ 4 omega_tilde\\^2 must be finite and > 0"):
+            StochasticFieldParams(2.0, 1.0, 1.0, lam, 1.0, omega_tilde)
 
 
 # ----------------------------------------------------------------- generator
