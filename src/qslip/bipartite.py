@@ -13,9 +13,12 @@ valid state *grows* on certain time windows even though the action is
 purely local; ``detect_windows`` finds those windows in closed form, with
 the tightened mu bound that excludes them.  All but ``concurrence_wootters``
 are closed forms, which the tests and ``qslip verify`` check against the
-Jacobi eigensolver (also on the partial transpose), Wootters' algorithm (on
-the two 2x2 blocks of an X-shaped state, in Python scalars), the RK4
-integrator, the golden-section maximizer or a dense-grid window scan.
+Jacobi eigensolver (also on the partial transpose), Wootters' algorithm, the
+RK4 integrator, the golden-section maximizer or a dense-grid window scan.
+Wootters' algorithm runs on the two 2x2 blocks of an X-shaped state in
+Python scalars, and takes only such states: every matrix the package builds
+is one, since the local map fixes ``1`` and ``s3`` and mixes ``s1`` with
+``s2``.
 
 The time-dependent closed forms, and the corners of ``evolve_isotropic``,
 take time through one kernel (``qslip._timekernel``), which alone settles
@@ -36,7 +39,7 @@ from typing import Tuple
 import numpy as np
 
 from . import qmat
-from ._timekernel import time_kernel
+from ._timekernel import ARRAY, time_kernel
 from .semigroup import ModelParams
 from .slippage import checked_mu
 
@@ -47,9 +50,6 @@ SEPARABLE_MU = 1.0 / 3.0
 
 # Cap on the periods pi/(2 Omega) one window scan may span (windows recur at a = 0).
 MAX_WINDOW_PERIODS = 10**6
-
-# (s2 x s2) M (s2 x s2) is M with both indices reversed, times these signs.
-_FLIP_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
 
 def isotropic(mu: float) -> np.ndarray:
@@ -72,6 +72,8 @@ def evolve_isotropic(p: ModelParams, mu: float, t: float) -> np.ndarray:
     """
     mu = checked_mu(mu)
     t, k = time_kernel(t)
+    if k is ARRAY:
+        raise ValueError(f"evolve_isotropic takes one scalar time, got shape {t.shape}")
     big_omega = p.Omega
     decay = k.exp(-2.0 * p.a * t)
     s = k.sin(2.0 * big_omega * t)
@@ -91,24 +93,17 @@ def _spectrum_entries(p: ModelParams, t, k):
     and exp(-2at)*(b/Omega)*s with s = sin(2 Omega t), for ``t, k = time_kernel(t)``.
 
     ``r4_curve`` writes the signed term out again, in the same order of
-    operations, to skip the square root it does not use (golden-section
-    maximization of R4 calls it about a thousand times per run); a change to
-    either formula changes both places.
+    operations, to skip the square root it does not use.  Going through this
+    function costs R4 about a third more on an array (15.8 -> 20.8 us on the
+    golden-section maximizer's 1000-point grid) and 0.16 us on each of the
+    some 50 floats of its search (timeit, ``ModelParams(0.1, 0.9)``); a
+    change to either formula changes both places.
     """
     big_omega = p.Omega
     decay = k.exp(-2.0 * p.a * t)
     s = k.sin(2.0 * big_omega * t)
     ratio = p.b / big_omega
     return decay * k.sqrt(1.0 + ratio * ratio * s * s), decay * ratio * s
-
-
-def _spectrum(p: ModelParams, mu: float, t, k):
-    """``(root, (e1, e2, e3, e4))`` of the evolved isotropic matrix for ``t, k = time_kernel(...)``."""
-    root, signed = _spectrum_entries(p, t, k)
-    return root, (0.25 * (1.0 + mu * (1.0 + 2.0 * root)),
-                  0.25 * (1.0 + mu * (1.0 - 2.0 * root)),
-                  0.25 * (1.0 - mu * (1.0 - 2.0 * signed)),
-                  0.25 * (1.0 - mu * (1.0 + 2.0 * signed)))
 
 
 def eigenvalues_closed_form(p: ModelParams, mu: float, t):
@@ -121,7 +116,12 @@ def eigenvalues_closed_form(p: ModelParams, mu: float, t):
     changes sign.  A scalar t gives four floats, an array t four arrays.
     """
     t, k = time_kernel(t)
-    return _spectrum(p, float(mu), t, k)[1]
+    mu = float(mu)
+    root, signed = _spectrum_entries(p, t, k)
+    return (0.25 * (1.0 + mu * (1.0 + 2.0 * root)),
+            0.25 * (1.0 + mu * (1.0 - 2.0 * root)),
+            0.25 * (1.0 - mu * (1.0 - 2.0 * signed)),
+            0.25 * (1.0 - mu * (1.0 + 2.0 * signed)))
 
 
 def r4_curve(p: ModelParams, t):
@@ -165,7 +165,7 @@ def _matmul2(x: tuple, y: tuple) -> tuple:
 
 
 def concurrence_wootters(rho) -> float:
-    """Wootters concurrence of a two-qubit state.
+    """Wootters concurrence of an X-shaped two-qubit state.
 
     With rho_tilde = (s2 x s2) conj(rho) (s2 x s2) and lambda_i the
     descending square roots of the eigenvalues of R = sqrt(rho) rho_tilde
@@ -173,9 +173,10 @@ def concurrence_wootters(rho) -> float:
 
         C(rho) = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
 
-    An X-shaped rho (every oracle input) runs on its blocks {0, 3} and
-    {1, 2} in Python scalars, where sqrt(rho), rho_tilde and R are X-shaped
-    too; every other state runs on 4x4 numpy arrays.
+    rho must be X-shaped, with exact zeros off its blocks {0, 3} and
+    {1, 2}, as every matrix the package builds is; it runs on those blocks
+    in Python scalars, where sqrt(rho), rho_tilde and R are X-shaped too.
+    Any other input raises ``ValueError``.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -184,29 +185,25 @@ def concurrence_wootters(rho) -> float:
     if abs(rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3] - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {np.trace(rho)}")
     blocks = qmat.hermitian_x_eig(rows, vectors=True)
-    w, v = blocks or qmat.hermitian_eig(rho)  # v: eigenvector rows (blocks) or columns (dense)
+    if blocks is None:
+        raise ValueError("input is not X-shaped: nonzero entries off the blocks {0, 3} and {1, 2}")
+    w, v = blocks  # v: eigenvector rows
     if min(w) < qmat.STATE_EIG_FLOOR:
         raise ValueError(f"input has negative eigenvalue {min(w):.3e}: not a state")
-    if blocks:
-        r_blocks = []
-        for p, q in ((0, 3), (1, 2)):
-            app, apq, aqp, aqq = rows[p][p], rows[p][q], rows[q][p], rows[q][q]
-            # Eigenvector columns (up, uq) of w[p] and (vp, vq) of w[q].
-            up, uq, vp, vq = v[p][p], v[p][q], v[q][p], v[q][q]
-            rp, rq = math.sqrt(max(w[p], 0.0)), math.sqrt(max(w[q], 0.0))
-            root = _matmul2((up * rp, vp * rq, uq * rp, vq * rq),
-                            (up.conjugate(), uq.conjugate(), vp.conjugate(), vq.conjugate()))
-            # rho_tilde holds each block with its diagonal swapped, conjugated.
-            tilde = (aqq.conjugate(), aqp.conjugate(), apq.conjugate(), app.conjugate())
-            r_blocks.append(_matmul2(_matmul2(root, tilde), root))
-        (r00, r03, r30, r33), (r11, r12, r21, r22) = r_blocks
-        eigs = qmat.hermitian_x_eig([[r00, 0j, 0j, r03], [0j, r11, r12, 0j],
-                                     [0j, r21, r22, 0j], [r30, 0j, 0j, r33]])[0]
-    else:
-        sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-        rho_tilde = _FLIP_SIGNS * np.conj(rho[::-1, ::-1])
-        # hermitian_eigenvalues symmetrizes the round-off of the product itself.
-        eigs = qmat.hermitian_eigenvalues(sqrt_rho @ rho_tilde @ sqrt_rho).tolist()
+    r_blocks = []
+    for p, q in ((0, 3), (1, 2)):
+        app, apq, aqp, aqq = rows[p][p], rows[p][q], rows[q][p], rows[q][q]
+        # Eigenvector columns (up, uq) of w[p] and (vp, vq) of w[q].
+        up, uq, vp, vq = v[p][p], v[p][q], v[q][p], v[q][q]
+        rp, rq = math.sqrt(max(w[p], 0.0)), math.sqrt(max(w[q], 0.0))
+        root = _matmul2((up * rp, vp * rq, uq * rp, vq * rq),
+                        (up.conjugate(), uq.conjugate(), vp.conjugate(), vq.conjugate()))
+        # rho_tilde holds each block with its diagonal swapped, conjugated.
+        tilde = (aqq.conjugate(), aqp.conjugate(), apq.conjugate(), app.conjugate())
+        r_blocks.append(_matmul2(_matmul2(root, tilde), root))
+    (r00, r03, r30, r33), (r11, r12, r21, r22) = r_blocks
+    eigs = qmat.hermitian_x_eig([[r00, 0j, 0j, r03], [0j, r11, r12, 0j],
+                                 [0j, r21, r22, 0j], [r30, 0j, 0j, r33]])[0]
     l1, l2, l3, l4 = sorted([math.sqrt(max(e, 0.0)) for e in eigs], reverse=True)
     return float(max(0.0, l1 - l2 - l3 - l4))
 
@@ -221,7 +218,7 @@ def concurrence_closed_form(p: ModelParams, mu: float, t: float) -> float:
     t, k = time_kernel(t)
     mu = float(mu)
     bound = positivity_bound(p)
-    if not (0.0 <= mu <= bound + 1e-12):
+    if not (0.0 <= mu <= bound + 1e-12 and mu <= 1.0):
         raise ValueError(
             f"mu={mu} is outside the physical range [0, {bound:.12g}]: "
             "the closed form presumes a valid state at all times"
@@ -236,14 +233,19 @@ def concurrence_curve(p: ModelParams, mu: float, t):
     ``max(0, c_mu(t))`` with c_mu(t) = mu exp(-2at) sqrt(1 + (b/Omega)^2
     sin^2(2 Omega t)) - (1 - mu)/2 where the matrix is a state, and NaN
     where its smallest closed-form eigenvalue is below
-    ``ISOTROPIC_EIG_FLOOR`` (possible only for mu > 1/R4).  Takes a scalar
+    ``ISOTROPIC_EIG_FLOOR`` (possible only for mu > 1/R4).  That eigenvalue
+    is min(e3, e4) = [1 - mu (1 + 2 exp(-2at) (b/Omega) |sin(2 Omega t)|)]/4:
+    e1 >= 1/4, and e2 >= min(e3, e4) since exp(-2at) <= 1.  Takes a scalar
     or an array t.
     """
     mu = checked_mu(mu)
-    root, eigs = _spectrum(p, mu, *time_kernel(t))
+    t, k = time_kernel(t)
+    root, signed = _spectrum_entries(p, t, k)
     gap = mu * root - (1.0 - mu) / 2.0
-    curve = np.where(np.min(eigs, axis=0) < ISOTROPIC_EIG_FLOOR, np.nan, np.maximum(0.0, gap))
-    return curve if curve.ndim else float(curve)
+    low = 0.25 * (1.0 - mu * (1.0 + 2.0 * abs(signed)))
+    if k is ARRAY:
+        return np.where(low < ISOTROPIC_EIG_FLOOR, np.nan, np.maximum(0.0, gap))
+    return math.nan if low < ISOTROPIC_EIG_FLOOR else max(gap, 0.0)  # max keeps a NaN gap
 
 
 def _rate_factor_at_offset(p: ModelParams, t_offset, k):

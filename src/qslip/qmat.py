@@ -16,22 +16,22 @@ whatever the size of the entries.  The oracles feed X-shaped 4x4 matrices:
 the local map fixes ``1`` and ``s3`` and mixes ``s1`` with ``s2``, so the
 eight entries off the two decoupled 2x2 blocks ``{0, 3}`` and ``{1, 2}``
 are exact zeros.  Such an input goes to ``hermitian_x_eig``, which is exact
-after one rotation per nonzero block and has no sweep loop; an
-eigenvalue-only call there computes just the shift ``t |a_pq|`` and skips
-the phase, cosine, sine and eigenvectors.  Every other input goes to the
-dense loop.  Both check each (i, j), (j, i) pair once, taking one defect
-and both symmetrized halves from the inputs (conjugating one half could
-flip a zero's sign), take ``t`` from one formula (``_tangent``), skip exact
-zeros (pivots, row and column pairs, residual terms, symmetrization pairs)
-and hold the rotation cosine as a complex number, as Python would promote
-it on every multiply.  So the kernel's eigenvalues and eigenvectors are
-bit-identical to the dense loop's on the permuted blocks, and
-``hermitian_eig`` and ``hermitian_eigenvalues`` give bit-equal
-eigenvalues.  NaN and inf are truthy: a non-finite entry off the blocks
-selects the dense loop, and one facing a zero or on the diagonal still
-reaches the Hermiticity check, which raises ``ValueError``.  General n x n
-problems, sparse storage and extended precision are out of scope; every
-matrix here is tiny.
+after one rotation per nonzero block and has no sweep loop; it alone gives
+eigenvectors, which Wootters' concurrence needs, and an eigenvalue-only
+call there computes just the shift ``t |a_pq|`` and skips the phase,
+cosine, sine and eigenvectors.  Every other input goes to the dense loop,
+which gives eigenvalues only.  Both check each (i, j), (j, i) pair once,
+taking one defect and both symmetrized halves from the inputs (conjugating
+one half could flip a zero's sign), take ``t`` from one formula
+(``_tangent``), skip exact zeros (pivots, row and column pairs, residual
+terms, symmetrization pairs) and hold the rotation cosine as a complex
+number, as Python would promote it on every multiply.  So the kernel's
+eigenvalues are bit-identical to the dense loop's on the permuted blocks.
+NaN and inf are truthy: a non-finite entry off the blocks selects the dense
+loop, and one facing a zero or on the diagonal still reaches the
+Hermiticity check, which raises ``ValueError``.  General n x n problems,
+sparse storage and extended precision are out of scope; every matrix here
+is tiny.
 """
 from __future__ import annotations
 
@@ -127,10 +127,10 @@ def hermitian_x_eig(rows: list, vectors: bool = False):
     belongs to eigenvalue ``i``), else None; None for any other input.
 
     One rotation per nonzero pivot leaves the matrix diagonal, so there is
-    no sweep loop; only a budget of zero sweeps raises.  Checks, pivots,
-    shifts and rotations are the dense loop's, so the results are
-    bit-identical to it.  Without ``vectors`` only the shift ``t |a_pq|``
-    is computed."""
+    no sweep loop; only a budget of zero sweeps raises.  Checks, pivots and
+    shifts are the dense loop's, so the eigenvalues are bit-identical to it,
+    with or without ``vectors``; without, only the shift ``t |a_pq|`` is
+    computed."""
     if len(rows) != 4:
         return None
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
@@ -154,7 +154,7 @@ def hermitian_x_eig(rows: list, vectors: bool = False):
             shift = _tangent(d1, d2, m12) * m12
             d1, d2 = d1 - shift, d2 + shift
         return [d0, d1, d2, d3], None
-    # Each block of eigenvector rows is the dense loop's rotation of the
+    # Each block of eigenvector rows is the block's rotation applied to the
     # identity rows, written out with its signed zeros.
     v00 = v11 = v22 = v33 = 1 + 0j
     v03 = v30 = v12 = v21 = 0j
@@ -172,10 +172,9 @@ def hermitian_x_eig(rows: list, vectors: bool = False):
     return [d0, d1, d2, d3], vt
 
 
-def _jacobi(rows: list, vectors: bool):
+def _jacobi(rows: list) -> list:
     """The dense loop: cyclic Jacobi on the checked and symmetrized ``rows``
-    of an n x n matrix, giving the unsorted eigenvalues and, if ``vectors``,
-    the eigenvector rows.
+    of an n x n matrix, giving the unsorted eigenvalues.
 
     Each (p, q) rotation moves the real diagonal pair by ``-t |a_pq|`` and
     ``+t |a_pq|`` and zeroes the pivot pair.  Sweeps stop once the
@@ -189,7 +188,6 @@ def _jacobi(rows: list, vectors: bool):
     for i in span:
         for j in span[i + 1:]:
             a[i][j], a[j][i] = _symmetrized(rows[i][j], rows[j][i], rows)
-    vt = [[1 + 0j if i == j else 0j for j in span] for i in span] if vectors else None
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
         residual = math.hypot(*[abs(x) for row in a for x in row if x])
         if residual <= JACOBI_OFF_TOL:
@@ -212,37 +210,19 @@ def _jacobi(rows: list, vectors: bool):
                 row_p, row_q = a[p], a[q]
                 for j in span:
                     row_p[j], row_q[j] = _rotated_pair(row_p[j], row_q[j], c, s_phase, s_conj)
-                if vectors:
-                    vec_p, vec_q = vt[p], vt[q]
-                    for j in span:
-                        vec_p[j], vec_q[j] = _rotated_pair(vec_p[j], vec_q[j], c, s_conj, s_phase)
-    return d, vt
+    return d
 
 
-def _eig(m: np.ndarray, vectors: bool):
-    """Unsorted eigenvalues and eigenvector rows (None unless ``vectors``):
-    the block kernel for an X-shaped 4x4, the dense loop for every other
-    square matrix."""
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix (defect within ``HERMITIAN_INPUT_TOL``,
+    else ``ValueError``), sorted descending: the block kernel for an X-shaped
+    4x4, the dense loop for every other square matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     rows = m.tolist()
-    return hermitian_x_eig(rows, vectors) or _jacobi(rows, vectors)
-
-
-def hermitian_eig(m: np.ndarray):
-    """Eigenvalues ``w`` (descending) and orthonormal eigenvector columns ``v``
-    of a Hermitian matrix (defect within ``HERMITIAN_INPUT_TOL``, else
-    ``ValueError``) by cyclic Jacobi, so that ``m ~= v @ diag(w) @ v^dagger``."""
-    diagonal, vt = _eig(m, True)
-    order = sorted(range(len(diagonal)), key=diagonal.__getitem__, reverse=True)  # stable
-    return np.array([diagonal[i] for i in order]), np.array([vt[i] for i in order], dtype=complex).T
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending; skips the eigenvectors.
-    The stable sort gives them in ``hermitian_eig``'s order."""
-    return np.array(sorted(_eig(m, False)[0], reverse=True))
+    blocks = hermitian_x_eig(rows)
+    return np.array(sorted(blocks[0] if blocks else _jacobi(rows), reverse=True))
 
 
 def partial_transpose_first(m: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import qmat
-from ._timekernel import time_kernel
+from ._timekernel import ARRAY, time_kernel
 from .qmat import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
 from .semigroup import ModelParams
 
@@ -79,6 +79,8 @@ def semigroup_action(p: ModelParams) -> Callable[[float], np.ndarray]:
 
     def action(t: float) -> np.ndarray:
         t, k = time_kernel(t)
+        if k is ARRAY:
+            raise ValueError(f"semigroup_action's map takes one scalar time, got shape {t.shape}")
         big_omega = p.Omega
         decay = k.exp(-2.0 * p.a * t)
         c = k.cos(2.0 * big_omega * t)
@@ -125,9 +127,10 @@ def is_completely_positive(
     True iff the smallest Choi eigenvalue stays above ``CP_EIG_FLOOR`` at
     every grid point; the worst point is reported either way.
     """
-    t_grid, _ = time_kernel(t_grid)
-    if t_grid.size == 0:
-        raise ValueError("time grid must not be empty")
+    t_grid, k = time_kernel(t_grid)
+    if k is not ARRAY or t_grid.ndim != 1 or not t_grid.size:
+        raise ValueError(f"is_completely_positive takes a nonempty 1-d time grid, "
+                         f"got shape {np.shape(t_grid)}")
     worst_t, worst_eig = float(t_grid[0]), math.inf
     for t in t_grid.tolist():
         low = float(qmat.hermitian_eigenvalues(choi_matrix(family(t)))[-1])

@@ -40,6 +40,25 @@ def random_bloch_in_ball(rng: np.random.Generator) -> np.ndarray:
     return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
 
 
+def random_x_shaped(rng: np.random.Generator) -> np.ndarray:
+    """Hermitian 4x4 with normal entries on its blocks {0, 3} and {1, 2} and
+    exact zeros off them."""
+    m = np.diag(rng.normal(size=4)).astype(complex)
+    for i, j in ((0, 3), (1, 2)):
+        m[i, j] = complex(*rng.normal(size=2))
+        m[j, i] = m[i, j].conjugate()
+    return m
+
+
+def x_eig(m):
+    """Eigenvalues, descending, and eigenvector columns of an X-shaped 4x4
+    from ``qmat.hermitian_x_eig(..., vectors=True)``, in the order of
+    ``qmat.hermitian_eigenvalues`` (a stable sort)."""
+    w, vt = qmat.hermitian_x_eig(np.asarray(m, dtype=complex).tolist(), vectors=True)
+    order = sorted(range(4), key=w.__getitem__, reverse=True)
+    return np.array([w[i] for i in order]), np.array([vt[i] for i in order], dtype=complex).T
+
+
 def bloch_of(states):
     """Bloch vectors (n, 3) of a stack of 2x2 density matrices (n, 2, 2)."""
     return np.stack(

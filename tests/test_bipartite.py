@@ -89,7 +89,7 @@ def test_evolve_maximally_mixed_is_stationary():
         assert np.abs(evolve_isotropic(p, 0.0, t) - np.eye(4) / 4.0).max() <= 1e-15
 
 
-@pytest.mark.parametrize("mu", [-0.1, 2.0, math.nan])
+@pytest.mark.parametrize("mu", [-0.1, 2.0, 1.0 + 5e-13, math.nan])
 @pytest.mark.parametrize("call", [
     isotropic,
     lambda mu: evolve_isotropic(ModelParams(0.1, 0.9), mu, 0.5),
@@ -271,72 +271,41 @@ def random_pure_states(rng, n):
     return psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-def test_wootters_dense_path_on_pure_and_noisy_pure_states():
-    # Generic pure states are not X-shaped, so they take the 4x4 numpy path,
-    # and C = 2 |ad - bc|.  They are rank 1, where Wootters' square roots
-    # amplify the round-off of R's zero eigenvalues to about 1e-8 (the
-    # rank-deficient limit of test_oracle_properties), so they are checked to
-    # 1e-7.  Mixed with white noise of weight 1 - p they are full rank, with
-    # C = max(0, p C_pure - (1 - p)/2), checked to 1e-10.
+def test_wootters_rejects_states_that_are_not_x_shaped():
+    # Wootters takes only the X-shaped states the package builds.  A generic
+    # pure state and a locally rotated isotropic state (U x 1 keeps the
+    # concurrence) fill in the entries off the blocks.
     rng = np.random.default_rng(61)
-    for a, b, c, d in random_pure_states(rng, 200):
-        pure = np.outer([a, b, c, d], np.conj([a, b, c, d]))
-        assert not is_x_shaped(pure)
-        expected = 2.0 * abs(a * d - b * c)
-        assert abs(concurrence_wootters(pure) - expected) <= 1e-7
-        weight = rng.uniform(0.0, 0.95)
-        noisy = weight * pure + (1.0 - weight) / 4.0 * np.eye(4)
-        expected = max(0.0, weight * expected - (1.0 - weight) / 2.0)
-        assert abs(concurrence_wootters(noisy) - expected) <= 1e-10
+    (a, b, c, d), = random_pure_states(rng, 1)
+    pure = np.outer([a, b, c, d], np.conj([a, b, c, d]))
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    local = np.kron(u, np.eye(2))
+    rotated = local @ isotropic(0.8) @ local.conj().T
+    for state in (pure, rotated):
+        assert not is_x_shaped(state)
+        with pytest.raises(ValueError, match=r"not X-shaped: nonzero entries off the blocks"):
+            concurrence_wootters(state)
 
 
-def test_wootters_dense_path_on_locally_rotated_isotropic_states():
-    # A local unitary U x 1 keeps the concurrence, max(0, (3 mu - 1)/2), and
-    # fills in the entries off the blocks.
-    rng = np.random.default_rng(67)
-    for mu in rng.uniform(0.0, 1.0, 200):
-        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        local = np.kron(u, np.eye(2))
-        rho = local @ isotropic(mu) @ local.conj().T
-        assert not is_x_shaped(rho)
-        assert abs(concurrence_wootters(rho) - max(0.0, (3.0 * mu - 1.0) / 2.0)) <= 1e-10
-
-
-def test_wootters_takes_the_numpy_path_only_off_the_x_shape(monkeypatch):
-    p = ModelParams(0.1, 0.9)
-    x_shaped = evolve_isotropic(p, 0.999 * positivity_bound(p), 1.3)
-    expected = concurrence_wootters(x_shaped)
-
-    def numpy_path(m):
-        raise AssertionError("numpy path")
-
-    monkeypatch.setattr(qmat, "hermitian_eig", numpy_path)
-    assert concurrence_wootters(x_shaped) == expected
-    with pytest.raises(AssertionError, match="numpy path"):
-        concurrence_wootters(np.kron(np.array([[0.6, 0.2j], [-0.2j, 0.4]]), np.eye(2) / 2.0))
-
-
-def test_wootters_rejects_non_finite_entries_on_both_paths():
+def test_wootters_rejects_non_finite_entries():
+    # Off the blocks a NaN or inf is not an exact zero; on them it fails the
+    # Hermiticity check.
     x_shaped = evolve_isotropic(ModelParams(0.1, 0.9), 0.2, 0.7)
-    dense = np.kron(np.array([[0.6, 0.2j], [-0.2j, 0.4]]), np.eye(2) / 2.0)
-    assert is_x_shaped(x_shaped) and not is_x_shaped(dense)
-    for state in (x_shaped, dense):
-        concurrence_wootters(state)
-        for i, j in ((0, 0), (0, 3), (1, 2), (2, 1), (0, 1), (3, 2)):
-            for value in (np.nan, np.inf):
-                bad = state.copy()
-                bad[i, j] = value
-                with pytest.raises(ValueError):
-                    concurrence_wootters(bad)
+    assert is_x_shaped(x_shaped)
+    concurrence_wootters(x_shaped)
+    for i, j in ((0, 0), (0, 3), (1, 2), (2, 1), (0, 1), (3, 2)):
+        for value in (np.nan, np.inf):
+            bad = x_shaped.copy()
+            bad[i, j] = value
+            with pytest.raises(ValueError):
+                concurrence_wootters(bad)
 
 
 # Wootters at (a, b) = (0.1, 0.9), mu = 0.999/R4, t = 1.3, as float.hex, from
-# the block path of this X-shaped state: sqrt(rho), rho_tilde and R formed on
-# the blocks {0, 3} and {1, 2} in Python scalars, with the Jacobi's exact
-# pivot zeros (the closed form reads 0x1.41231818fa5f0p-5).  The 4x4 numpy
-# matmuls of the dense path round differently (they give
-# 0x1.41231818fa5ecp-5).  The state passes through numpy's exp, so the pin
-# holds for one numpy build.
+# this X-shaped state's blocks: sqrt(rho), rho_tilde and R formed on the
+# blocks {0, 3} and {1, 2} in Python scalars, with the Jacobi's exact pivot
+# zeros (the closed form reads 0x1.41231818fa5f0p-5).  The state passes
+# through numpy's exp, so the pin holds for one numpy build.
 _PINNED_WOOTTERS = "0x1.41231818fa600p-5"
 
 
@@ -370,6 +339,9 @@ def test_concurrence_closed_form_validation():
         concurrence_closed_form(p, 0.2, -1.0)
     with pytest.raises(ValueError):
         concurrence_closed_form(p, -0.1, 1.0)
+    # 1/R4 = 1 at b = 0, where the bound's 1e-12 slack must not admit mu > 1.
+    with pytest.raises(ValueError, match="outside the physical range"):
+        concurrence_closed_form(ModelParams(0.1, 0.0), 1.0 + 5e-13, 0.0)
 
 
 def test_concurrence_curve_is_nan_off_the_state_set():
@@ -378,7 +350,7 @@ def test_concurrence_curve_is_nan_off_the_state_set():
     for mu in (0.2, 0.25, 0.6, 1.0):
         curve = concurrence_curve(p, mu, ts)
         for t, value in zip(ts.tolist(), curve.tolist()):
-            assert value == concurrence_curve(p, mu, t) or np.isnan(value)
+            assert concurrence_curve(p, mu, t).hex() == value.hex()  # NaN where the array is NaN
             m = evolve_isotropic(p, mu, t)
             if min(eigenvalues_closed_form(p, mu, t)) < bipartite.ISOTROPIC_EIG_FLOOR:
                 assert np.isnan(value)
@@ -387,6 +359,11 @@ def test_concurrence_curve_is_nan_off_the_state_set():
                 assert abs(value - concurrence_wootters(m)) <= 1e-10
     assert np.isnan(concurrence_curve(p, 1.0, ts)).any()
     assert not np.isnan(concurrence_curve(p, 0.25, ts)).any()
+    # Just above 1/R4 at t*, min(e3, e4) is about -2.5e-14, inside the
+    # floor: a number on the scalar path as on the array path.
+    mu = positivity_bound(p) * (1.0 + 1e-13)
+    assert not np.isnan(concurrence_curve(p, mu, np.array([p.t_star]))).any()
+    assert not math.isnan(concurrence_curve(p, mu, p.t_star))
     with pytest.raises(ValueError):
         concurrence_curve(p, 1.1, 1.0)
 

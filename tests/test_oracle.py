@@ -35,7 +35,8 @@ _DELETED_NAMES = ("kraus_operators", "kraus_apply", "apply_slippage", "identity_
                   "generator_split", "exit_rate", "as_array", "require_state",
                   "symmetric_projector", "partial_transpose_spectrum_check", "generator",
                   "propagate", "from_density_matrix", "norm_squared", "_g_max", "_check_mu",
-                  "_checked_mu", "dagger", "bloch_propagator")
+                  "_checked_mu", "dagger", "bloch_propagator", "hermitian_eig", "_eig",
+                  "_spectrum", "_FLIP_SIGNS")
 
 
 def test_config_validation():

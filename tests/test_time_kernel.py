@@ -92,8 +92,10 @@ def _scalar_forms(t):
 @example((ModelParams(0.489667584706567, 0.8150012348545729, 1.8143282121639066),
           0.5, [2.765742294345608]))
 def test_scalar_calls_match_array_elements(case):
-    p, mu_fraction, times = case
-    mu = mu_fraction * positivity_bound(p)
+    # mu spans [0, 1], so concurrence_curve's NaN above 1/R4 is compared too;
+    # concurrence_closed_form takes mu only up to 1/R4.
+    p, mu, times = case
+    physical_mu = mu * positivity_bound(p)
     grid = np.array(times)
     with np.errstate(invalid="ignore", over="ignore"):
         curves = {
@@ -122,7 +124,8 @@ def test_scalar_calls_match_array_elements(case):
                         _check(got_0d, values[i])
                 _check(concurrence_curve(p, mu, ts), concurrence[i])
                 # The scalar-only form: the float call against the 0-d numpy call.
-                _check(concurrence_closed_form(p, mu, ts), concurrence_closed_form(p, mu, zero_d))
+                _check(concurrence_closed_form(p, physical_mu, ts),
+                       concurrence_closed_form(p, physical_mu, zero_d))
 
 
 def test_propagator_decay_matches_trajectory():
@@ -160,6 +163,19 @@ def test_every_time_callable_rejects_a_time_outside_the_domain(name, form, t):
     # The message names the time out of the domain, not the whole array.
     with pytest.raises(ValueError, match=re.escape(f"must be >= 0 and finite, got {t}") + "$"):
         call(t if form == "scalar" else [0.0, t])
+
+
+@pytest.mark.parametrize("name, t, form", [
+    ("evolve_isotropic", [0.5], "one scalar time, got shape (1,)"),
+    ("semigroup_action", [0.5, 1.0], "one scalar time, got shape (2,)"),
+    ("is_completely_positive", 0.5, "a nonempty 1-d time grid, got shape ()"),
+    ("is_completely_positive", [[0.5]], "a nonempty 1-d time grid, got shape (1, 1)"),
+    ("is_completely_positive", [], "a nonempty 1-d time grid, got shape (0,)"),
+])
+def test_a_callable_given_the_wrong_form_of_time_names_the_form_it_takes(name, t, form):
+    call, _ = _TIME_CALLABLES[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}.* takes {re.escape(form)}$"):
+        call(t)
 
 
 def test_time_domain_is_checked_in_the_kernel_only():
