@@ -158,25 +158,25 @@ def positivity_bound(p: ModelParams) -> float:
     return 1.0 / p.R4
 
 
-def _matmul2(x: tuple, y: tuple) -> tuple:
-    """Product of two 2x2 matrices held as row-major 4-tuples."""
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
 def concurrence_wootters(rho) -> float:
     """Wootters concurrence of an X-shaped two-qubit state.
 
-    With rho_tilde = (s2 x s2) conj(rho) (s2 x s2) and lambda_i the
-    descending square roots of the eigenvalues of R = sqrt(rho) rho_tilde
-    sqrt(rho) (clamped at zero before the root):
+    With lambda_i the descending singular values of A = sqrt(rho) (s2 x s2)
+    conj(sqrt(rho)), the square roots of the eigenvalues of sqrt(rho)
+    rho_tilde sqrt(rho), rho_tilde = (s2 x s2) conj(rho) (s2 x s2):
 
         C(rho) = max(0, lambda_1 - lambda_2 - lambda_3 - lambda_4).
 
     rho must be X-shaped, with exact zeros off its blocks {0, 3} and
-    {1, 2}, as every matrix the package builds is; it runs on those blocks
-    in Python scalars, where sqrt(rho), rho_tilde and R are X-shaped too.
-    Any other input raises ``ValueError``.
+    {1, 2}, as every matrix the package builds is; any other input raises
+    ``ValueError``.  s2 x s2 maps each block onto itself as -+ the swap J,
+    so A splits into blocks S J conj(S), with S = V diag(r) V^dagger the
+    block of sqrt(rho) from the Jacobi eigenvectors V.  V is unitary, so a
+    block has the singular values of N = diag(r) V^dagger J conj(V) diag(r),
+    N_ij = r_i r_j conj(v_i0 v_j1 + v_i1 v_j0) for eigenvector columns v_i.
+    One Hestenes rotation orthogonalizes N's columns, and each lambda is the
+    norm of a rotated column, never the root of a squared value, so no
+    digits are lost near a zero lambda.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -184,27 +184,31 @@ def concurrence_wootters(rho) -> float:
     rows = rho.tolist()
     if abs(rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3] - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {np.trace(rho)}")
-    blocks = qmat.hermitian_x_eig(rows, vectors=True)
-    if blocks is None:
-        raise ValueError("input is not X-shaped: nonzero entries off the blocks {0, 3} and {1, 2}")
-    w, v = blocks  # v: eigenvector rows
+    w, v = qmat.hermitian_x_eig(rows, vectors=True)  # v: eigenvector rows
     if min(w) < qmat.STATE_EIG_FLOOR:
         raise ValueError(f"input has negative eigenvalue {min(w):.3e}: not a state")
-    r_blocks = []
+    lambdas = []
     for p, q in ((0, 3), (1, 2)):
-        app, apq, aqp, aqq = rows[p][p], rows[p][q], rows[q][p], rows[q][q]
         # Eigenvector columns (up, uq) of w[p] and (vp, vq) of w[q].
         up, uq, vp, vq = v[p][p], v[p][q], v[q][p], v[q][q]
-        rp, rq = math.sqrt(max(w[p], 0.0)), math.sqrt(max(w[q], 0.0))
-        root = _matmul2((up * rp, vp * rq, uq * rp, vq * rq),
-                        (up.conjugate(), uq.conjugate(), vp.conjugate(), vq.conjugate()))
-        # rho_tilde holds each block with its diagonal swapped, conjugated.
-        tilde = (aqq.conjugate(), aqp.conjugate(), apq.conjugate(), app.conjugate())
-        r_blocks.append(_matmul2(_matmul2(root, tilde), root))
-    (r00, r03, r30, r33), (r11, r12, r21, r22) = r_blocks
-    eigs = qmat.hermitian_x_eig([[r00, 0j, 0j, r03], [0j, r11, r12, 0j],
-                                 [0j, r21, r22, 0j], [r30, 0j, 0j, r33]])[0]
-    l1, l2, l3, l4 = sorted([math.sqrt(max(e, 0.0)) for e in eigs], reverse=True)
+        wp, wq = max(w[p], 0.0), max(w[q], 0.0)
+        # The columns (x0, x1) and (y0, y1) of conj(N), whose inner product
+        # the rotation zeroes.
+        x0 = wp * (2.0 * up * uq)
+        x1 = y0 = math.sqrt(wp) * math.sqrt(wq) * (up * vq + uq * vp)
+        y1 = wq * (2.0 * vp * vq)
+        gamma = x0.conjugate() * y0 + x1.conjugate() * y1
+        if gamma:
+            mag = abs(gamma)
+            zeta = (abs(y0) ** 2 + abs(y1) ** 2 - abs(x0) ** 2 - abs(x1) ** 2) / (mag + mag)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s_phase = t * c * gamma / mag
+            x0, y0 = c * x0 - s_phase.conjugate() * y0, s_phase * x0 + c * y0
+            x1, y1 = c * x1 - s_phase.conjugate() * y1, s_phase * x1 + c * y1
+        lambdas += [math.hypot(x0.real, x0.imag, x1.real, x1.imag),
+                    math.hypot(y0.real, y0.imag, y1.real, y1.imag)]
+    l1, l2, l3, l4 = sorted(lambdas, reverse=True)
     return float(max(0.0, l1 - l2 - l3 - l4))
 
 
@@ -216,6 +220,8 @@ def concurrence_closed_form(p: ModelParams, mu: float, t: float) -> float:
     computation on the explicit matrix.
     """
     t, k = time_kernel(t)
+    if k is ARRAY:
+        raise ValueError(f"concurrence_closed_form takes one scalar time, got shape {t.shape}")
     mu = float(mu)
     bound = positivity_bound(p)
     if not (0.0 <= mu <= bound + 1e-12 and mu <= 1.0):

@@ -125,7 +125,9 @@ def is_completely_positive(
     """Scan Choi spectra over a time grid.
 
     True iff the smallest Choi eigenvalue stays above ``CP_EIG_FLOOR`` at
-    every grid point; the worst point is reported either way.
+    every grid point; the worst point is reported either way.  Each Choi
+    matrix must be X-shaped, as the slipped semigroup's are, or
+    ``qmat.hermitian_eigenvalues`` raises ``ValueError``.
     """
     t_grid, k = time_kernel(t_grid)
     if k is not ARRAY or t_grid.ndim != 1 or not t_grid.size:

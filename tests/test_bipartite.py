@@ -262,7 +262,12 @@ def test_wootters_rejects_non_states():
 
 
 def is_x_shaped(m):
-    return qmat.hermitian_x_eig(np.asarray(m, dtype=complex).tolist()) is not None
+    try:
+        qmat.hermitian_x_eig(np.asarray(m, dtype=complex).tolist())
+    except ValueError as err:
+        assert "not X-shaped" in str(err)
+        return False
+    return True
 
 
 def random_pure_states(rng, n):
@@ -302,17 +307,37 @@ def test_wootters_rejects_non_finite_entries():
 
 
 # Wootters at (a, b) = (0.1, 0.9), mu = 0.999/R4, t = 1.3, as float.hex, from
-# this X-shaped state's blocks: sqrt(rho), rho_tilde and R formed on the
-# blocks {0, 3} and {1, 2} in Python scalars, with the Jacobi's exact pivot
-# zeros (the closed form reads 0x1.41231818fa5f0p-5).  The state passes
-# through numpy's exp, so the pin holds for one numpy build.
-_PINNED_WOOTTERS = "0x1.41231818fa600p-5"
+# this X-shaped state's blocks in Python scalars: the Jacobi's eigenvectors
+# with its exact pivot zeros, and one Hestenes rotation per block whose
+# singular values are column norms.  It reads the closed form's bits.  The
+# state passes through numpy's exp, so the pin holds for one numpy build.
+_PINNED_WOOTTERS = "0x1.41231818fa5f0p-5"
 
 
 def test_wootters_bits_are_pinned():
     p = ModelParams(0.1, 0.9)
     state = evolve_isotropic(p, 0.999 * positivity_bound(p), 1.3)
     assert concurrence_wootters(state).hex() == _PINNED_WOOTTERS
+
+
+def test_wootters_matches_yu_eberly_on_random_x_states():
+    # Off the isotropic family the blocks have unequal diagonals, so the
+    # Hestenes rotation turns by a finite angle.  Yu and Eberly's closed form
+    # for X states (Quantum Inf. Comput. 7, 459, 2007) is the reference:
+    #     C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)).
+    # Every other draw has rank-one blocks, where a lambda is zero.
+    rng = np.random.default_rng(71)
+    for k in range(400):
+        rho = np.zeros((4, 4), dtype=complex)
+        for block in ((0, 3), (1, 2)):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            g[:, 1] *= k % 2
+            rho[np.ix_(block, block)] = g @ g.conj().T
+        rho /= np.trace(rho).real
+        d = rho.diagonal().real
+        closed = 2.0 * max(0.0, abs(rho[0, 3]) - math.sqrt(d[1] * d[2]),
+                           abs(rho[1, 2]) - math.sqrt(d[0] * d[3]))
+        assert abs(concurrence_wootters(rho) - closed) <= 1e-14
 
 
 def test_concurrence_closed_form_matches_wootters_on_grid():

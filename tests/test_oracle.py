@@ -36,7 +36,8 @@ _DELETED_NAMES = ("kraus_operators", "kraus_apply", "apply_slippage", "identity_
                   "symmetric_projector", "partial_transpose_spectrum_check", "generator",
                   "propagate", "from_density_matrix", "norm_squared", "_g_max", "_check_mu",
                   "_checked_mu", "dagger", "bloch_propagator", "hermitian_eig", "_eig",
-                  "_spectrum", "_FLIP_SIGNS")
+                  "_spectrum", "_FLIP_SIGNS", "_jacobi", "_rotated_pair", "_unconverged",
+                  "JACOBI_MAX_SWEEPS")
 
 
 def test_config_validation():

@@ -168,6 +168,8 @@ def test_every_time_callable_rejects_a_time_outside_the_domain(name, form, t):
 @pytest.mark.parametrize("name, t, form", [
     ("evolve_isotropic", [0.5], "one scalar time, got shape (1,)"),
     ("semigroup_action", [0.5, 1.0], "one scalar time, got shape (2,)"),
+    ("concurrence_closed_form", [0.5], "one scalar time, got shape (1,)"),
+    ("concurrence_closed_form", [0.5, 1.0], "one scalar time, got shape (2,)"),
     ("is_completely_positive", 0.5, "a nonempty 1-d time grid, got shape ()"),
     ("is_completely_positive", [[0.5]], "a nonempty 1-d time grid, got shape (1, 1)"),
     ("is_completely_positive", [], "a nonempty 1-d time grid, got shape (0,)"),
