@@ -171,8 +171,11 @@ def concurrence_wootters(rho) -> float:
     {1, 2}, as every matrix the package builds is; any other input raises
     ``ValueError``.  s2 x s2 maps each block onto itself as -+ the swap J,
     so A splits into blocks S J conj(S), with S = V diag(r) V^dagger the
-    block of sqrt(rho) from the Jacobi eigenvectors V.  V is unitary, so a
-    block has the singular values of N = diag(r) V^dagger J conj(V) diag(r),
+    block of sqrt(rho).  The eigenvector columns V come from the block's
+    Jacobi rotation (t, phase): (c, -t c conj(phase)) and (t c phase, c),
+    c = 1/sqrt(1 + t^2), or the identity's columns where the block did
+    not rotate.  V is unitary, so a block has the singular values of
+    N = diag(r) V^dagger J conj(V) diag(r),
     N_ij = r_i r_j conj(v_i0 v_j1 + v_i1 v_j0) for eigenvector columns v_i.
     One Hestenes rotation orthogonalizes N's columns, and each lambda is the
     norm of a rotated column, never the root of a squared value, so no
@@ -184,13 +187,20 @@ def concurrence_wootters(rho) -> float:
     rows = rho.tolist()
     if abs(rows[0][0] + rows[1][1] + rows[2][2] + rows[3][3] - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {np.trace(rho)}")
-    w, v = qmat.hermitian_x_eig(rows, vectors=True)  # v: eigenvector rows
+    w, rotations = qmat.hermitian_x_eig(rows)
     if min(w) < qmat.STATE_EIG_FLOOR:
         raise ValueError(f"input has negative eigenvalue {min(w):.3e}: not a state")
     lambdas = []
-    for p, q in ((0, 3), (1, 2)):
-        # Eigenvector columns (up, uq) of w[p] and (vp, vq) of w[q].
-        up, uq, vp, vq = v[p][p], v[p][q], v[q][p], v[q][q]
+    for (p, q), rotation in zip(((0, 3), (1, 2)), rotations):
+        # Eigenvector columns (up, uq) of w[p] and (vp, vq) of w[q], with
+        # their signed zeros.
+        up = vq = 1 + 0j
+        uq = vp = 0j
+        if rotation:
+            t, phase = rotation
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            up = vq = complex(c)
+            uq, vp = 0j - t * c * phase.conjugate(), t * c * phase + 0j
         wp, wq = max(w[p], 0.0), max(w[q], 0.0)
         # The columns (x0, x1) and (y0, y1) of conj(N), whose inner product
         # the rotation zeroes.

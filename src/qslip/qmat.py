@@ -16,12 +16,15 @@ overhead of numpy slices costs far more than the arithmetic, and holds the
 diagonal as real numbers.  One rotation per nonzero block moves the
 block's diagonal pair by ``-t |a_pq|`` and ``+t |a_pq|`` and sets the pivot
 pair to exact zeros (Rutishauser's update) instead of rotating them, so
-the matrix is diagonal after it whatever the size of its entries, and
-there is no sweep loop.  Each block pair is checked once, and the upper
-half symmetrized from the inputs (conjugating one half could flip a zero's
-sign).  NaN and inf are truthy: a non-finite entry off the blocks reads as
-not X-shaped, and one in a block reaches the Hermiticity check, which
-raises ``ValueError``.
+the matrix is diagonal after it whatever the size of its entries: there
+is no sweep loop and no tolerance below which a pivot is left standing.
+The kernel returns each block's ``(t, phase)`` rather than eigenvectors;
+Wootters' concurrence forms its eigenvector entries from them.  Each
+block pair is checked once, and the upper half symmetrized from the
+inputs (conjugating one half could flip a zero's sign).  NaN and inf
+are truthy: a non-finite entry off the blocks reads as not X-shaped, and
+one in a block reaches the Hermiticity check, which raises
+``ValueError``.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ import numpy as np
 
 # Absolute tolerances, fixed once for the whole package (desk-scale inputs).
 HERMITIAN_INPUT_TOL = 1e-10   # accepted Hermiticity defect of eigensolver inputs
-JACOBI_OFF_TOL = 1e-14        # off-diagonal Frobenius norm below which nothing rotates
 STATE_EIG_FLOOR = -1e-10      # spectrum floor below which a matrix is not a state
 
 PAULI_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -85,29 +87,20 @@ def _tangent(app: float, aqq: float, mag: float) -> float:
     return sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
 
 
-def _rotation(app: float, aqq: float, apq: complex) -> tuple:
-    """``(c, s phase, s conj(phase), t |apq|)`` of the rotation that annihilates
-    the nonzero pivot ``apq``; ``c`` is held complex, as Python would
-    promote it on every multiply."""
-    mag = abs(apq)
-    t = _tangent(app, aqq, mag)
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    phase = apq / mag
-    return complex(c), s * phase, s * phase.conjugate(), t * mag
-
-
-def hermitian_x_eig(rows: list, vectors: bool = False):
+def hermitian_x_eig(rows: list) -> tuple:
     """Jacobi on the blocks ``{0, 3}`` and ``{1, 2}`` of an X-shaped 4x4
     Hermitian matrix given as ``M.tolist()``: the unsorted eigenvalues (by
-    diagonal position) and, if ``vectors``, the eigenvector rows (``vt[i]``
-    belongs to eigenvalue ``i``), else None.  Any other input raises
-    ``ValueError``: one that is not X-shaped, not Hermitian, or not 4x4 (the
-    unpacking of ``rows`` raises).
+    diagonal position) and, for the blocks ``(p, q) = (0, 3)`` and ``(1,
+    2)``, the rotation ``(t, phase)`` it applied, or None where the pivot
+    is an exact zero.  With ``c = 1/sqrt(1 + t^2)``, the eigenvector of
+    ``w[p]`` has entries ``(c, -t c conj(phase))`` at ``(p, q)`` and that
+    of ``w[q]`` has ``(t c phase, c)``; a block that did not rotate keeps
+    the identity's columns.  Any other input raises ``ValueError``: one
+    that is not X-shaped, not Hermitian, or not 4x4 (the unpacking of
+    ``rows`` raises).
 
-    One rotation per nonzero pivot leaves the matrix diagonal.  The
-    eigenvalues are the same bits with or without ``vectors``; without,
-    only the shift ``t |a_pq|`` is computed."""
+    One rotation per nonzero pivot leaves the matrix diagonal, however
+    small the pivot."""
     (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
     if a01 or a02 or a10 or a13 or a20 or a23 or a31 or a32:
         raise ValueError("input is not X-shaped: nonzero entries off the blocks {0, 3} and {1, 2}")
@@ -116,33 +109,16 @@ def hermitian_x_eig(rows: list, vectors: bool = False):
     a12 = _symmetrized(a12, a21, rows)
     d0, d1, d2, d3 = (_symmetrized_diagonal(a00, rows), _symmetrized_diagonal(a11, rows),
                       _symmetrized_diagonal(a22, rows), _symmetrized_diagonal(a33, rows))
-    m03, m12 = abs(a03), abs(a12)
-    residual = math.hypot(m03, m03, m12, m12)
-    rotate = residual > JACOBI_OFF_TOL
-    if not vectors:
-        if rotate and a03:
-            shift = _tangent(d0, d3, m03) * m03
-            d0, d3 = d0 - shift, d3 + shift
-        if rotate and a12:
-            shift = _tangent(d1, d2, m12) * m12
-            d1, d2 = d1 - shift, d2 + shift
-        return [d0, d1, d2, d3], None
-    # Each block of eigenvector rows is the block's rotation applied to the
-    # identity rows, written out with its signed zeros.
-    v00 = v11 = v22 = v33 = 1 + 0j
-    v03 = v30 = v12 = v21 = 0j
-    if rotate and a03:
-        c, s_phase, s_conj, shift = _rotation(d0, d3, a03)
-        d0, d3 = d0 - shift, d3 + shift
-        v00 = v33 = c
-        v03, v30 = 0j - s_conj, s_phase + 0j
-    if rotate and a12:
-        c, s_phase, s_conj, shift = _rotation(d1, d2, a12)
-        d1, d2 = d1 - shift, d2 + shift
-        v11 = v22 = c
-        v12, v21 = 0j - s_conj, s_phase + 0j
-    vt = [[v00, 0j, 0j, v03], [0j, v11, v12, 0j], [0j, v21, v22, 0j], [v30, 0j, 0j, v33]]
-    return [d0, d1, d2, d3], vt
+    r03 = r12 = None
+    if a03:
+        mag = abs(a03)
+        t = _tangent(d0, d3, mag)
+        d0, d3, r03 = d0 - t * mag, d3 + t * mag, (t, a03 / mag)
+    if a12:
+        mag = abs(a12)
+        t = _tangent(d1, d2, mag)
+        d1, d2, r12 = d1 - t * mag, d2 + t * mag, (t, a12 / mag)
+    return [d0, d1, d2, d3], (r03, r12)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 The model is a qubit precessing about the 3-axis at frequency ``omega``
 while a stochastic transverse environment feeds in damping ``a`` on the
 equatorial Bloch components and an off-diagonal rate ``b`` that couples
-them.  On Bloch vectors the equation of motion is ``dr/dt = -2 L r`` with
+them.  On a Bloch vector r the equation of motion is ``dr/dt = -2 L r`` with
 
     L = [[a, b + omega, 0],
          [b - omega, a, 0],
@@ -17,7 +17,7 @@ and the propagated components are, with ``Omega = sqrt(omega^2 - b^2)``,
 
 Depending on (a, b) the maps are completely positive (b = 0), positive but
 not completely positive (a >= b > 0), or not even positive (a < b): in the
-last case Bloch vectors can leave the unit ball, with peak radius given by
+last case a Bloch vector can leave the unit ball, with peak radius given by
 ``norm_bound_max``.  A converter from raw stochastic-field constants to the
 model rates is included.
 
@@ -134,7 +134,7 @@ class BlochVector:
     """Real 3-vector r identifying a qubit matrix via rho = (1 + r.sigma)/2.
 
     Components must be finite, but the norm is not bounded: the dynamics
-    studied here can push vectors outside the unit ball, and representing
+    studied here can push r outside the unit ball, and representing
     that is the whole point.
     """
 

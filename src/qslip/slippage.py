@@ -32,10 +32,6 @@ from ._timekernel import ARRAY, time_kernel
 from .qmat import IDENTITY_2, PAULI_1, PAULI_2, PAULI_3
 from .semigroup import ModelParams
 
-# Choi eigenvalues above this floor count as nonnegative; genuine
-# violations at the parameter scales of interest are O(0.1).
-CP_EIG_FLOOR = -1e-10
-
 # Row 4 j + k is s_j x t_k / 4 flattened; (t_k) = (1, s1, -s2, s3) are the
 # second factors of the maximally entangled projector's Pauli expansion.
 _CHOI_BASIS = np.array([np.kron(s, t).ravel() for s in (IDENTITY_2, PAULI_1, PAULI_2, PAULI_3)
@@ -124,8 +120,10 @@ def is_completely_positive(
 ) -> CPReport:
     """Scan Choi spectra over a time grid.
 
-    True iff the smallest Choi eigenvalue stays above ``CP_EIG_FLOOR`` at
-    every grid point; the worst point is reported either way.  Each Choi
+    True iff the smallest Choi eigenvalue stays above
+    ``qmat.STATE_EIG_FLOOR`` at every grid point, that is, iff each unit-trace
+    Choi matrix is a state; genuine violations at the parameter scales of
+    interest are O(0.1).  The worst point is reported either way.  Each Choi
     matrix must be X-shaped, as the slipped semigroup's are, or
     ``qmat.hermitian_eigenvalues`` raises ``ValueError``.
     """
@@ -138,4 +136,4 @@ def is_completely_positive(
         low = float(qmat.hermitian_eigenvalues(choi_matrix(family(t)))[-1])
         if low < worst_eig:
             worst_t, worst_eig = t, low
-    return CPReport(worst_eig >= CP_EIG_FLOOR, worst_t, worst_eig)
+    return CPReport(worst_eig >= qmat.STATE_EIG_FLOOR, worst_t, worst_eig)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from qslip import ModelParams, qmat
@@ -52,9 +54,19 @@ def random_x_shaped(rng: np.random.Generator) -> np.ndarray:
 
 def x_eig(m):
     """Eigenvalues, descending, and eigenvector columns of an X-shaped 4x4
-    from ``qmat.hermitian_x_eig(..., vectors=True)``, in the order of
-    ``qmat.hermitian_eigenvalues`` (a stable sort)."""
-    w, vt = qmat.hermitian_x_eig(np.asarray(m, dtype=complex).tolist(), vectors=True)
+    from ``qmat.hermitian_x_eig``, in the order of
+    ``qmat.hermitian_eigenvalues`` (a stable sort).  Each block's rotation
+    ``(t, phase)``, with ``c = 1/sqrt(1 + t^2)``, gives the eigenvector rows
+    ``(c, -t c conj(phase))`` of ``w[p]`` and ``(t c phase, c)`` of ``w[q]``;
+    a block that did not rotate keeps the identity rows."""
+    w, rotations = qmat.hermitian_x_eig(np.asarray(m, dtype=complex).tolist())
+    vt = [[1 + 0j if i == j else 0j for j in range(4)] for i in range(4)]
+    for (p, q), rotation in zip(((0, 3), (1, 2)), rotations):
+        if rotation:
+            t, phase = rotation
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            vt[p][p] = vt[q][q] = complex(c)
+            vt[p][q], vt[q][p] = 0j - t * c * phase.conjugate(), t * c * phase + 0j
     order = sorted(range(4), key=w.__getitem__, reverse=True)
     return np.array([w[i] for i in order]), np.array([vt[i] for i in order], dtype=complex).T
 

@@ -37,7 +37,7 @@ _DELETED_NAMES = ("kraus_operators", "kraus_apply", "apply_slippage", "identity_
                   "propagate", "from_density_matrix", "norm_squared", "_g_max", "_check_mu",
                   "_checked_mu", "dagger", "bloch_propagator", "hermitian_eig", "_eig",
                   "_spectrum", "_FLIP_SIGNS", "_jacobi", "_rotated_pair", "_unconverged",
-                  "JACOBI_MAX_SWEEPS")
+                  "JACOBI_MAX_SWEEPS", "JACOBI_OFF_TOL", "_rotation", "CP_EIG_FLOOR")
 
 
 def test_config_validation():

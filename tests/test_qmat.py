@@ -105,9 +105,9 @@ def test_jacobi_matches_library_eigenvalues_and_reconstructs():
 
 
 def test_block_kernel_reconstructs_at_entries_of_order_24():
-    # At entries of order 24 the round-off of a rotated pivot would lie above
-    # JACOBI_OFF_TOL; the rotation sets it to an exact zero, so one rotation
-    # per block leaves the matrix diagonal.
+    # At entries of order 24 a rotated pivot would keep a round-off of order
+    # 24 eps; the rotation sets it to an exact zero, so one rotation per
+    # block leaves the matrix diagonal.
     rng = np.random.default_rng(47)
     for _ in range(60):
         m = 24.0 * random_x_shaped(rng)
@@ -115,9 +115,8 @@ def test_block_kernel_reconstructs_at_entries_of_order_24():
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-12
 
 
-def large_x_shaped_inputs():
-    """X-shaped 4x4s with entries up to 1e3: the round-off of a rotated
-    pivot at this scale is far above the absolute JACOBI_OFF_TOL."""
+def scaled_x_shaped_inputs(scale):
+    """800 X-shaped 4x4s with entries uniform in [-scale, scale]."""
     rng = np.random.default_rng(59)
     cases = []
     for _ in range(800):
@@ -125,34 +124,20 @@ def large_x_shaped_inputs():
         for i, j in ((0, 3), (1, 2)):
             m[i, j] = complex(*rng.uniform(-1.0, 1.0, size=2))
             m[j, i] = m[i, j].conjugate()
-        cases.append(1e3 * m)
+        cases.append(scale * m)
     return cases
 
 
-def test_jacobi_converges_on_large_entries():
+@pytest.mark.parametrize("scale", [1e3, 1e-15, 1e-20])
+def test_jacobi_converges_on_large_and_tiny_entries(scale):
     # With exact pivot zeros no round-off of the diagonal's scale is left
-    # off the diagonal, whatever the absolute JACOBI_OFF_TOL.  Relative
-    # bounds, as the entries reach 1e3.
-    for m in large_x_shaped_inputs():
-        scale = np.abs(m).max()
-        assert np.abs(qmat.hermitian_eigenvalues(m) - np.linalg.eigvalsh(m)[::-1]).max() <= 1e-14 * scale
+    # off the diagonal, and every nonzero pivot rotates however small it
+    # is, so the bounds are relative to the entries' scale.
+    for m in scaled_x_shaped_inputs(scale):
+        size = np.abs(m).max()
+        assert np.abs(qmat.hermitian_eigenvalues(m) - np.linalg.eigvalsh(m)[::-1]).max() <= 1e-14 * size
         w, v = x_eig(m)
-        assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-14 * scale
-
-
-def test_eig_and_eigenvalues_give_equal_bits():
-    # The block kernel's two branches, with and without eigenvectors, move
-    # the diagonal by the one shift t|a_pq| of _tangent, and the
-    # eigenvectors never feed back into it.
-    rng = np.random.default_rng(67)
-    cases = [random_x_shaped(rng) for _ in range(120)]
-    for _ in range(40):
-        p = ModelParams(rng.uniform(0.0, 1.0), rng.uniform(0.05, 0.95))
-        m = evolve_isotropic(p, rng.uniform(0.0, 1.0), rng.uniform(0.0, 5.0))
-        cases += [m, qmat.partial_transpose_first(m)]
-    cases += large_x_shaped_inputs()[::10]
-    for m in cases:
-        assert qmat.hermitian_eigenvalues(m).tobytes() == x_eig(m)[0].tobytes()
+        assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() <= 1e-14 * size
 
 
 def _not_x_shaped(case):
@@ -172,7 +157,7 @@ def _not_x_shaped(case):
     lambda m: qmat.hermitian_x_eig(m.tolist()),
     x_eig,
     concurrence_wootters,
-], ids=["hermitian_eigenvalues", "hermitian_x_eig", "hermitian_x_eig-vectors", "concurrence_wootters"])
+], ids=["hermitian_eigenvalues", "hermitian_x_eig", "x_eig-eigenvectors", "concurrence_wootters"])
 def test_every_oracle_rejects_a_matrix_that_is_not_x_shaped(solve, case):
     # A NaN or inf off the blocks is not an exact zero, so it reads as not
     # X-shaped before any Hermiticity check.
@@ -305,8 +290,8 @@ _PINNED_EVOLVED_V = (  # (real, imag) of each entry, row by row
 
 
 def assert_pinned(m, pinned_w, pinned_v):
-    """hermitian_eigenvalues reads pinned_w; the block kernel with
-    eigenvectors reads pinned_w and pinned_v."""
+    """hermitian_eigenvalues reads pinned_w; ``x_eig``, the eigenvectors
+    formed from the block kernel's rotations, reads pinned_w and pinned_v."""
     assert [x.hex() for x in qmat.hermitian_eigenvalues(m).tolist()] == list(pinned_w)
     w, v = x_eig(m)
     assert [x.hex() for x in w.tolist()] == list(pinned_w)
